@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet staticcheck test race bench-smoke perf perf-gate ci clean
+.PHONY: all build fmt-check vet staticcheck test race bench-smoke bench-selftest perf perf-gate ci clean
 
 all: build
 
@@ -44,6 +44,13 @@ race:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^(BenchmarkFigure4|BenchmarkSimulatorThroughput)$$' -benchtime 1x .
 
+# The repository benchmark (mcdbench/) is a module of its own, so the
+# root ./... patterns never build or test it: vet it and run its
+# self-tests, which exercise the engine through the traced
+# decomposition the benchmark reports.
+bench-selftest:
+	cd mcdbench && $(GO) vet ./... && $(GO) test ./...
+
 # Run every perf scenario and write a machine-readable report (see
 # DESIGN.md section 7). cmd/mcdperf builds with the committed PGO
 # profile automatically.
@@ -56,7 +63,7 @@ perf:
 perf-gate:
 	$(GO) run ./cmd/mcdperf -scenarios bench-smoke -compare perf/baseline.json -threshold 0.15
 
-ci: fmt-check vet staticcheck build race bench-smoke
+ci: fmt-check vet staticcheck build bench-selftest race bench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -442,14 +442,20 @@ func TestResultsIncompleteConflict(t *testing.T) {
 	_, fake, c := testServer(t, 1, 0)
 	gate := make(chan struct{})
 	fake.gate = gate
-	defer close(gate)
 
 	st, err := c.Submit(manifestJSON(t, sweep.Manifest{
 		Name: "slow", Benchmarks: workload.Names()[:2], Policies: []string{"baseline"}}))
 	if err != nil {
+		close(gate)
 		t.Fatal(err)
 	}
 	_, err = c.Results(st.ID)
+	close(gate)
+	// Let the sweep finish before the test's cache directory is removed:
+	// its workers write entries into it once the gate opens.
+	if _, ferr := c.Follow(st.ID, 0, nil); ferr != nil {
+		t.Fatalf("follow: %v", ferr)
+	}
 	if ae, ok := err.(*APIError); !ok || ae.StatusCode != 409 || ae.Code != "sweep_incomplete" {
 		t.Fatalf("results of a running sweep: got %v, want 409 sweep_incomplete", err)
 	}

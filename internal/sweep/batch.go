@@ -13,37 +13,49 @@ import (
 
 // Batched execution. A policy grid is anchor-shaped: most jobs are one
 // budgeted pass over the same benchmark's reference stream under
-// different machine configurations. planBatches groups ready jobs by
-// that (benchmark, input, window) anchor; runGroup resolves each group
-// by opening one Lane per job and stepping all of them in lockstep from
-// the group's shared decoded stream (isa.PackedStream.FeedLockstep), so
-// the grid pays stream decode and cache traffic once per anchor instead
-// of once per job. Per-job lockstep delivery is item-for-item identical
-// to a sequential feed, so outcomes — and therefore result-cache
-// entries, artifacts, and merged report bytes — are byte-identical to
-// unbatched execution; the engine's memo, persistent caches, dedup and
-// summary counters are shared with the sequential path, not forked.
+// different machine configurations. planBatches groups jobs by that
+// (benchmark, input, window) anchor and splits each anchor into up to
+// two lockstep units — the jobs that can run at once, and the jobs
+// bound to trained profiles — so ready lanes never wait behind
+// training. runGroup resolves a unit by opening one Lane per job and
+// stepping all of them in lockstep from the anchor's shared decoded
+// stream (isa.PackedStream.FeedLockstep), so the grid pays stream
+// decode and cache traffic once per unit — at most twice per anchor —
+// instead of once per job. Per-job lockstep delivery is item-for-item
+// identical to a sequential feed, so outcomes — and therefore
+// result-cache entries, artifacts, and merged report bytes — are
+// byte-identical to unbatched execution; the engine's memo, persistent
+// caches, dedup and summary counters are shared with the sequential
+// path, not forked.
 
-// batchGroup is one anchor group: job indices that stream the same
-// benchmark's reference input, split into dependency waves. Wave 0
-// jobs have no result dependencies; wave 1 jobs depend on other jobs
-// (the global comparator needs its siblings' run times), which wave 0
-// resolves into the memo first.
+// batchGroup is one lockstep unit of an anchor group: job indices that
+// stream the same benchmark's reference input, split into dependency
+// waves. Wave 0 jobs have no result dependencies; wave 1 jobs depend
+// on other jobs (the global comparator needs its siblings' run times),
+// which resolve through their flights — the anchor's ready unit owns
+// most of them — before wave 1 opens its lanes.
 type batchGroup struct {
 	bench string
 	wave0 []int
 	wave1 []int
 }
 
-// planBatches partitions a job list into anchor groups and leftover
-// single indices. A job joins a group only when it validates and its
+// planBatches partitions a job list into lockstep units and leftover
+// single indices. A job joins a unit only when it validates and its
 // policy opens lanes; everything else — invalid jobs report their
-// validation error from the sequential path — stays single. Group
-// order follows first appearance, so scheduling stays deterministic.
+// validation error from the sequential path — stays single. Each
+// anchor yields a ready unit (wave-0 jobs whose policy declares no
+// dependencies) and then a profile-bound unit (wave-0 jobs with
+// profile dependencies, then the wave-1 jobs); a unit with no jobs is
+// dropped. All of an anchor's trainings stay in its profile-bound
+// unit, so they share one TrainFeedBatch pass per training stream.
+// Units follow anchor first appearance, ready unit first, so
+// scheduling stays deterministic and ready lanes start first.
 func planBatches(cfg core.Config, jobs []Job) ([]*batchGroup, []int) {
+	type anchor struct{ ready, bound batchGroup }
 	var singles []int
-	var order []string
-	byBench := make(map[string]*batchGroup)
+	var order []*anchor
+	byBench := make(map[string]*anchor)
 	for i, j := range jobs {
 		if j.Validate() != nil {
 			singles = append(singles, i)
@@ -54,29 +66,37 @@ func planBatches(cfg core.Config, jobs []Job) ([]*batchGroup, []int) {
 			singles = append(singles, i)
 			continue
 		}
-		g := byBench[j.Bench]
-		if g == nil {
-			g = &batchGroup{bench: j.Bench}
-			byBench[j.Bench] = g
-			order = append(order, j.Bench)
+		a := byBench[j.Bench]
+		if a == nil {
+			a = &anchor{ready: batchGroup{bench: j.Bench}, bound: batchGroup{bench: j.Bench}}
+			byBench[j.Bench] = a
+			order = append(order, a)
 		}
-		if hasResultDep(cfg, p, j) {
-			g.wave1 = append(g.wave1, i)
-		} else {
-			g.wave0 = append(g.wave0, i)
+		deps := p.Deps(cfg, j)
+		switch {
+		case len(deps) == 0:
+			a.ready.wave0 = append(a.ready.wave0, i)
+		case hasResultDep(deps):
+			a.bound.wave1 = append(a.bound.wave1, i)
+		default:
+			a.bound.wave0 = append(a.bound.wave0, i)
 		}
 	}
-	groups := make([]*batchGroup, 0, len(order))
-	for _, b := range order {
-		groups = append(groups, byBench[b])
+	var units []*batchGroup
+	for _, a := range order {
+		for _, g := range []*batchGroup{&a.ready, &a.bound} {
+			if len(g.wave0)+len(g.wave1) > 0 {
+				units = append(units, g)
+			}
+		}
 	}
-	return groups, singles
+	return units, singles
 }
 
-// hasResultDep reports whether a job depends on another job's result
-// (and therefore must wait for the group's first wave).
-func hasResultDep(cfg core.Config, p Policy, j Job) bool {
-	for _, d := range p.Deps(cfg, j) {
+// hasResultDep reports whether a dependency list names another job's
+// result (so the job must wait for that job's flight).
+func hasResultDep(deps []Dep) bool {
+	for _, d := range deps {
 		if d.Job != nil {
 			return true
 		}
@@ -84,7 +104,7 @@ func hasResultDep(cfg core.Config, p Policy, j Job) bool {
 	return false
 }
 
-// runGroup resolves one anchor group, wave by wave.
+// runGroup resolves one lockstep unit, wave by wave.
 func (e *Engine) runGroup(ctx context.Context, jobs []Job, g *batchGroup, width int, report reportFn) {
 	e.runWave(ctx, jobs, g.wave0, width, report)
 	e.runWave(ctx, jobs, g.wave1, width, report)
@@ -102,7 +122,7 @@ type laneJob struct {
 	err  error
 }
 
-// runWave resolves one wave of an anchor group. Owned jobs — those
+// runWave resolves one wave of a lockstep unit. Owned jobs — those
 // whose singleflight this call claims — resolve through the persistent
 // cache and then one lockstep replay; jobs whose key is already in
 // flight elsewhere (or duplicated within the wave) join the existing
@@ -168,7 +188,7 @@ func (e *Engine) runWave(ctx context.Context, jobs []Job, idxs []int, width int,
 	if len(pending) > 0 {
 		// The wave replays the anchor's reference stream, and profile
 		// dependencies replay a training stream; reserve both stream
-		// slots so concurrent groups cannot thrash the recording cache
+		// slots so concurrent units cannot thrash the recording cache
 		// mid-batch.
 		x.reserveStreams(2)
 		e.resolveWave(jobs, pending, width)
@@ -236,7 +256,8 @@ func (e *Engine) resolveWave(jobs []Job, pending []*laneJob, width int) {
 	x.profileBatch(specs)
 
 	// Resolve each job's dependencies (profiles now memoized; result
-	// deps were closed by the previous wave) and open its lane.
+	// deps wait on their flights, usually owned by the anchor's ready
+	// unit) and open its lane.
 	var lanes []*laneJob
 	for _, o := range pending {
 		job := jobs[o.idx]

@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // TestBatchedMatchesSequential is the batching acceptance gate: for
@@ -19,9 +24,12 @@ import (
 // result-cache entry bytes, identical artifact-store bytes, and the
 // same executed/error counts. Batching is a throughput optimization
 // only; any divergence here is a correctness bug, not a tuning matter.
+// The batched side runs at one and two engine workers: at two, an
+// anchor's ready and profile-bound units overlap, and the global job
+// waits on a single-clock flight the other unit owns.
 func TestBatchedMatchesSequential(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains two profiles per topology, twice")
+		t.Skip("trains two profiles per topology, three times")
 	}
 	for _, name := range arch.TopologyNames() {
 		t.Run(name, func(t *testing.T) {
@@ -36,8 +44,9 @@ func TestBatchedMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := m.Config()
-			run := func(dir string, opts ...RunOption) ([]*Outcome, Summary) {
+			run := func(dir string, workers int, opts ...RunOption) ([]*Outcome, Summary) {
 				eng := New(cfg)
+				eng.Workers = workers
 				eng.Cache = &Cache{Dir: dir}
 				eng.Artifacts = ArtifactStore(dir)
 				outs, sum, err := eng.Run(context.Background(), jobs, opts...)
@@ -46,22 +55,188 @@ func TestBatchedMatchesSequential(t *testing.T) {
 				}
 				return outs, sum
 			}
-			dirSeq, dirBat := t.TempDir(), t.TempDir()
-			seqOuts, seqSum := run(dirSeq, WithBatching(0))
-			batOuts, batSum := run(dirBat) // automatic lockstep width
+			dirSeq := t.TempDir()
+			seqOuts, seqSum := run(dirSeq, 0, WithBatching(0))
 
-			for i := range jobs {
-				a, _ := json.Marshal(seqOuts[i])
-				b, _ := json.Marshal(batOuts[i])
-				if !bytes.Equal(a, b) {
-					t.Errorf("%s: outcome diverged\nseq %s\nbat %s", jobs[i], a, b)
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					dirBat := t.TempDir()
+					batOuts, batSum := run(dirBat, workers) // automatic lockstep width
+					for i := range jobs {
+						a, _ := json.Marshal(seqOuts[i])
+						b, _ := json.Marshal(batOuts[i])
+						if !bytes.Equal(a, b) {
+							t.Errorf("%s: outcome diverged\nseq %s\nbat %s", jobs[i], a, b)
+						}
+					}
+					if seqSum.Executed != batSum.Executed || seqSum.Errors != batSum.Errors {
+						t.Errorf("summary diverged: seq %+v bat %+v", seqSum, batSum)
+					}
+					compareTrees(t, dirSeq, dirBat)
+				})
+			}
+		})
+	}
+}
+
+// TestPlanBatchesSplitsReadyFromProfileBound pins the lockstep units
+// planBatches emits: per anchor, in first-appearance order, a ready
+// unit (jobs whose policy declares no dependencies) and then a
+// profile-bound unit (profile-dependent jobs in wave 0, the global
+// comparator in wave 1), never an empty unit, whatever order the grid
+// lists its jobs in.
+func TestPlanBatchesSplitsReadyFromProfileBound(t *testing.T) {
+	benches := []string{"gsm_decode", "adpcm_decode"}
+	grid := func(policyMajor bool, policies ...string) []Job {
+		var jobs []Job
+		add := func(b, p string) {
+			j := Job{Bench: b, Policy: p}
+			if p == PolicyScheme {
+				j.Scheme = "L+F"
+			}
+			jobs = append(jobs, j)
+		}
+		if policyMajor {
+			for _, p := range policies {
+				for _, b := range benches {
+					add(b, p)
 				}
 			}
-			if seqSum.Executed != batSum.Executed || seqSum.Errors != batSum.Errors {
-				t.Errorf("summary diverged: seq %+v bat %+v", seqSum, batSum)
+		} else {
+			for _, b := range benches {
+				for _, p := range policies {
+					add(b, p)
+				}
 			}
-			compareTrees(t, dirSeq, dirBat)
+		}
+		return jobs
+	}
+	all := []string{PolicyGlobal, PolicyBaseline, PolicyOffline, PolicyOnline, PolicyScheme, PolicySingleClock}
+	unit := func(bench string, wave0, wave1 []int) batchGroup {
+		return batchGroup{bench: bench, wave0: wave0, wave1: wave1}
+	}
+	cases := []struct {
+		name string
+		jobs []Job
+		want []batchGroup
+	}{
+		{"bench-major", grid(false, all...), []batchGroup{
+			unit("gsm_decode", []int{1, 3, 5}, nil),
+			unit("gsm_decode", []int{2, 4}, []int{0}),
+			unit("adpcm_decode", []int{7, 9, 11}, nil),
+			unit("adpcm_decode", []int{8, 10}, []int{6}),
+		}},
+		{"policy-major", grid(true, all...), []batchGroup{
+			unit("gsm_decode", []int{2, 6, 10}, nil),
+			unit("gsm_decode", []int{4, 8}, []int{0}),
+			unit("adpcm_decode", []int{3, 7, 11}, nil),
+			unit("adpcm_decode", []int{5, 9}, []int{1}),
+		}},
+		{"ready-only", grid(true, PolicyOnline, PolicyBaseline), []batchGroup{
+			unit("gsm_decode", []int{0, 2}, nil),
+			unit("adpcm_decode", []int{1, 3}, nil),
+		}},
+		{"profile-bound-only", grid(false, PolicyScheme, PolicyGlobal, PolicyOffline), []batchGroup{
+			unit("gsm_decode", []int{0, 2}, []int{1}),
+			unit("adpcm_decode", []int{3, 5}, []int{4}),
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			units, singles := planBatches(core.DefaultConfig(), tc.jobs)
+			if len(singles) != 0 {
+				t.Errorf("singles = %v, want none", singles)
+			}
+			got := make([]batchGroup, len(units))
+			for i, u := range units {
+				got[i] = *u
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("units:\n got %+v\nwant %+v", got, tc.want)
+			}
 		})
+	}
+
+	// Jobs that fail validation stay single and never reach a unit.
+	jobs := []Job{{Bench: "adpcm_decode", Policy: PolicyBaseline}, {Bench: "no_such_bench", Policy: PolicyBaseline}}
+	units, singles := planBatches(core.DefaultConfig(), jobs)
+	if len(units) != 1 || !reflect.DeepEqual(singles, []int{1}) {
+		t.Errorf("invalid job: units %d singles %v, want 1 unit and singles [1]", len(units), singles)
+	}
+}
+
+// TestReadyLanesDoNotWaitForTraining runs a cold mixed grid on one
+// engine worker and asserts that, for every benchmark, each job whose
+// policy declares no dependencies is delivered before that benchmark's
+// first training starts: ready lanes run in their own lockstep unit,
+// ahead of the anchor's profile-bound unit, instead of waiting behind
+// its profile batch.
+func TestReadyLanesDoNotWaitForTraining(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains two profiles per benchmark")
+	}
+	m := &Manifest{
+		Benchmarks: []string{"adpcm_decode", "g721_decode"},
+		Policies:   Policies(),
+		Schemes:    []string{"L+F"},
+	}
+	jobs, err := m.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := m.Config()
+	cfg.TrainWorkers = 1
+	eng := New(cfg)
+	eng.Workers = 1
+	eng.Cache = &Cache{Dir: dir}
+	eng.Artifacts = ArtifactStore(dir)
+	eng.Streams = StreamStoreFor(dir)
+	eng.Trace = obs.NewTracer(0)
+	delivered := make(map[int]int64)
+	_, _, err = eng.Run(context.Background(), jobs, WithOnDone(func(d JobDone) {
+		delivered[d.Index] = eng.Trace.Now()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, _, dropped := eng.Trace.Snapshot(0)
+	if dropped != 0 {
+		t.Fatalf("trace ring dropped %d spans", dropped)
+	}
+	firstTrain := make(map[string]int64)
+	for _, s := range spans {
+		if s.Phase != "train" {
+			continue
+		}
+		if at, ok := firstTrain[s.Bench]; !ok || s.StartNS < at {
+			firstTrain[s.Bench] = s.StartNS
+		}
+	}
+	for _, b := range m.Benchmarks {
+		if _, ok := firstTrain[b]; !ok {
+			t.Fatalf("%s: no train span on a cold store", b)
+		}
+	}
+	checked := 0
+	for i, j := range jobs {
+		p, _ := PolicyByName(j.Policy)
+		if len(p.Deps(cfg, j)) != 0 {
+			continue
+		}
+		checked++
+		at, ok := delivered[i]
+		if !ok {
+			t.Errorf("%s: never delivered", j)
+			continue
+		}
+		if train := firstTrain[j.Bench]; at >= train {
+			t.Errorf("%s delivered at %v, after its benchmark's first training started at %v",
+				j, time.Duration(at), time.Duration(train))
+		}
+	}
+	if checked == 0 {
+		t.Fatal("grid has no dependency-free jobs")
 	}
 }
 

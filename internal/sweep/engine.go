@@ -416,13 +416,15 @@ func WithPool(p *WorkerPool) RunOption {
 }
 
 // WithBatching bounds how many jobs one lockstep pass steps together:
-// ready jobs that share a (benchmark, input, window) anchor are grouped
-// and simulated in lockstep from one decoded stream, n lanes at a time.
-// n == 0 disables batching (every job resolves alone); n < 0 or an
-// absent option picks the automatic width. Batched and sequential
-// execution produce byte-identical results, cache entries, and
-// artifacts — the option only trades memory (n live machines) against
-// stream-decode and cache-traffic savings.
+// jobs that share a (benchmark, input, window) anchor are grouped into
+// at most two units per anchor — jobs without dependencies, and jobs
+// bound to trained profiles — and each unit is simulated in lockstep
+// from the anchor's decoded stream, n lanes at a time. n == 0 disables
+// batching (every job resolves alone); n < 0 or an absent option picks
+// the automatic width. Batched and sequential execution produce
+// byte-identical results, cache entries, and artifacts — the option
+// only trades memory (n live machines per unit) against stream-decode
+// and cache-traffic savings.
 func WithBatching(n int) RunOption {
 	return func(rc *runConfig) { rc.batch, rc.batchSet = n, true }
 }
@@ -512,9 +514,10 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, opts ...RunOption) ([]*Out
 		report(i, key, out, src, time.Since(start), err)
 	}
 
-	// Partition the batch into schedulable units: anchor groups stepped
-	// in lockstep, and single jobs. The built-in executor is required
-	// for batching — an ExecFn override bypasses lanes entirely.
+	// Partition the batch into schedulable units: lockstep units (an
+	// anchor's ready jobs, then its profile-bound jobs), and single
+	// jobs. The built-in executor is required for batching — an ExecFn
+	// override bypasses lanes entirely.
 	var units []func()
 	if width > 0 && e.ExecFn == nil {
 		groups, singles := planBatches(e.Cfg, jobs)
