@@ -98,7 +98,7 @@ func main() {
 	shards := fs.Int("shards", 1, "total number of shards")
 	shard := fs.Int("shard", 0, "this process's shard index, 0-based")
 	parallel := fs.Int("parallel", 0, "worker parallelism (default GOMAXPROCS)")
-	recCache := fs.Int("recording-cache", 0, "recorded-stream cache entries (overrides the manifest's recording_cache; default auto-sized)")
+	recCache := fs.Int("recording-cache", 0, "decoded packed streams held in memory (overrides the manifest's recording_cache; default auto-sized)")
 	trainWorkers := fs.Int("train-workers", 0, "intra-job training parallelism — segment-shake workers and concurrent batched collection (overrides the manifest's train_workers; default GOMAXPROCS; results are bit-identical at every setting)")
 	out := fs.String("o", "", "merge output file (default stdout)")
 	oracle := fs.Bool("oracle", false, "merge: read the per-job JSON cache only, bypassing columnar segments (the byte-identity oracle path)")

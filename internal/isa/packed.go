@@ -3,17 +3,17 @@ package isa
 // PackedStream is a captured dynamic stream in packed struct-of-arrays
 // form: the decoded fields of every instruction live in parallel arrays
 // (branch outcomes bit-packed), so replay touches ~13 bytes per
-// instruction instead of the ~40 an []Instr recording costs. The
-// density matters twice: a retained stream cache holds more streams in
+// instruction instead of the ~40 an []Instr copy costs. The density
+// matters twice: a retained stream cache holds more streams in
 // the same budget, and a lockstep replay driving several machines from
 // one pass keeps the stream itself resident in cache while the
 // per-machine state streams through.
 //
 // A PackedStream is immutable after capture and safe for concurrent
-// replay. Replay is item-for-item identical to the generating walk (and
-// to a Recording of the same walk): consumers cannot tell the sources
-// apart, so simulation results — and therefore cache keys and report
-// bytes — do not depend on which source fed them.
+// replay. Replay is item-for-item identical to the generating walk:
+// consumers cannot tell the sources apart, so simulation results — and
+// therefore cache keys and report bytes — do not depend on which
+// source fed them.
 type PackedStream struct {
 	class []Class
 	pc    []uint32
@@ -54,19 +54,6 @@ func RecordPackedSized(p *Program, in Input, hint int64) *PackedStream {
 		s.markerPos = make([]int64, 0, hint/8+16)
 	}
 	p.Walk(in, (*packedRecorder)(s))
-	return s
-}
-
-// Pack converts a Recording to packed form; the two replay identically.
-func Pack(r *Recording) *PackedStream {
-	s := &PackedStream{
-		markers:   r.markers,
-		markerPos: r.markerPos,
-	}
-	rec := (*packedRecorder)(s)
-	for i := range r.instrs {
-		rec.Instr(&r.instrs[i])
-	}
 	return s
 }
 

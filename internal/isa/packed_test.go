@@ -6,9 +6,9 @@ import (
 )
 
 // TestPackedReplayIdentical is the packed stream's contract: replay
-// must be item-for-item identical to a generating walk and to a
-// Recording replay of the same walk — simulation results and sweep
-// cache keys depend on the three sources being indistinguishable.
+// must be item-for-item identical to a generating walk, with or without
+// a capacity hint — simulation results and sweep cache keys depend on
+// the sources being indistinguishable.
 func TestPackedReplayIdentical(t *testing.T) {
 	prog := streamProg()
 	in := Input{Name: "train"}
@@ -19,7 +19,6 @@ func TestPackedReplayIdentical(t *testing.T) {
 	for name, s := range map[string]*PackedStream{
 		"recorded": RecordPacked(prog, in),
 		"sized":    RecordPackedSized(prog, in, int64(len(walked.instrs))),
-		"packed":   Pack(Record(prog, in)),
 	} {
 		var replayed tapeConsumer
 		s.Feed(&replayed)
@@ -95,14 +94,13 @@ func TestPackedFeedEarlyStop(t *testing.T) {
 
 // TestPackedFreqsRoundTrip checks that the rare frequency-carrying
 // instructions survive packing (they never appear in program walks, but
-// Pack must not silently drop them).
+// capture must not silently drop them).
 func TestPackedFreqsRoundTrip(t *testing.T) {
-	r := &Recording{}
-	w := (*streamRecorder)(r)
+	s := &PackedStream{}
+	w := (*packedRecorder)(s)
 	w.Instr(&Instr{Class: IntALU, PC: 4})
 	w.Instr(&Instr{Class: Reconfig, PC: 8, Freqs: []uint16{600, 1000}})
 	w.Instr(&Instr{Class: Load, PC: 12, Addr: 64})
-	s := Pack(r)
 
 	var got tapeConsumer
 	s.Feed(&got)
@@ -182,7 +180,11 @@ func (c *countOnly) Marker(Marker) bool { c.m++; return true }
 func TestLockstepSteadyStateAllocFree(t *testing.T) {
 	prog := streamProg()
 	short := RecordPacked(prog, Input{Name: "train"})
-	long := Pack(&Recording{instrs: make([]Instr, 8*short.Instructions())})
+	long := &PackedStream{}
+	rec := (*packedRecorder)(long)
+	for i := int64(0); i < 8*short.Instructions(); i++ {
+		rec.Instr(&Instr{})
+	}
 
 	sinks := [4]countOnly{}
 	lanes := make([]StreamLane, len(sinks))

@@ -2,7 +2,7 @@ package isa
 
 // Feeder yields the dynamic stream of one (program, input) pair to a
 // consumer. Program generation implements it by walking (regenerating
-// the stream from the tree and the deterministic RNG); a Recording
+// the stream from the tree and the deterministic RNG); a PackedStream
 // implements it by replay. Consumers cannot tell the two apart:
 // the sequences are identical item for item.
 type Feeder interface {
@@ -19,107 +19,3 @@ type walkFeeder struct {
 }
 
 func (f walkFeeder) Feed(c Consumer) { f.p.Walk(f.in, c) }
-
-// Recording is one captured dynamic stream: the exact instruction and
-// marker sequence a Walk produced, replayable any number of times.
-// Replay skips all generation work (RNG draws, tree traversal), which
-// is roughly a third of a simulation's cost — a policy grid that runs
-// the same (program, input) under several machine configurations pays
-// for generation once. A Stream is immutable after Record and safe for
-// concurrent replay. It costs ~25 bytes per instruction; callers that
-// hold several should bound how many they retain.
-type Recording struct {
-	instrs []Instr
-	// markers[i] fires before the instruction at index markerPos[i];
-	// positions are nondecreasing.
-	markers   []Marker
-	markerPos []int64
-}
-
-// Record walks the program under the input and captures the complete
-// stream.
-func Record(p *Program, in Input) *Recording { return RecordSized(p, in, 0) }
-
-// RecordSized is Record with a capacity hint for the expected number of
-// instructions (a known window length). An exact hint makes the capture
-// a single allocation per array; without one, growth doublings copy —
-// and leave behind as garbage — about twice the final recording size.
-func RecordSized(p *Program, in Input, hint int64) *Recording {
-	s := &Recording{}
-	if hint > 0 {
-		s.instrs = make([]Instr, 0, hint)
-		s.markers = make([]Marker, 0, hint/8+16)
-		s.markerPos = make([]int64, 0, hint/8+16)
-	}
-	p.Walk(in, (*streamRecorder)(s))
-	return s
-}
-
-// Instructions returns the number of recorded instructions.
-func (s *Recording) Instructions() int64 { return int64(len(s.instrs)) }
-
-// Feed implements Feeder by replay. The *Instr passed to the consumer
-// points into the recording and must not be modified or retained —
-// the same contract a generating walk's scratch instruction has.
-// A CountingConsumer wrapper is unwrapped so the per-instruction path
-// makes one direct-budget check and one interface call, not two.
-func (s *Recording) Feed(c Consumer) {
-	inner := c
-	var cc *CountingConsumer
-	if w, ok := c.(*CountingConsumer); ok {
-		cc, inner = w, w.Inner
-	}
-	mi := 0
-	nextMarker := int64(-1)
-	if len(s.markerPos) > 0 {
-		nextMarker = s.markerPos[0]
-	}
-	for i := range s.instrs {
-		for nextMarker == int64(i) {
-			if !inner.Marker(s.markers[mi]) {
-				return
-			}
-			mi++
-			nextMarker = -1
-			if mi < len(s.markerPos) {
-				nextMarker = s.markerPos[mi]
-			}
-		}
-		if cc != nil {
-			if cc.Seen >= cc.Budget {
-				return
-			}
-			cc.Seen++
-			if !inner.Instr(&s.instrs[i]) {
-				return
-			}
-			if cc.Seen >= cc.Budget {
-				return
-			}
-			continue
-		}
-		if !inner.Instr(&s.instrs[i]) {
-			return
-		}
-	}
-	for mi < len(s.markers) {
-		if !inner.Marker(s.markers[mi]) {
-			return
-		}
-		mi++
-	}
-}
-
-// streamRecorder adapts Recording to Consumer for Record.
-type streamRecorder Recording
-
-func (r *streamRecorder) Instr(ins *Instr) bool {
-	r.instrs = append(r.instrs, *ins)
-	return true
-}
-
-func (r *streamRecorder) Marker(m Marker) bool {
-	r.markerPos = append(r.markerPos, int64(len(r.instrs)))
-	r.markers = append(r.markers, m)
-	return true
-}

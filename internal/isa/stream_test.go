@@ -1,10 +1,5 @@
 package isa
 
-import (
-	"reflect"
-	"testing"
-)
-
 // tapeConsumer records everything it sees, tagging order.
 type tapeConsumer struct {
 	instrs  []Instr
@@ -36,86 +31,4 @@ func streamProg() *Program {
 		b.Block(FPHeavy, 15),
 	)
 	return b.Finish(main)
-}
-
-// TestRecordingReplayIdentical is the recording cache's contract: a
-// replayed stream must be item-for-item identical to a generating walk,
-// markers included — simulation outputs (and sweep cache keys) depend
-// on it.
-func TestRecordingReplayIdentical(t *testing.T) {
-	prog := streamProg()
-	in := Input{Name: "train"}
-
-	var walked tapeConsumer
-	prog.Walk(in, &walked)
-
-	rec := Record(prog, in)
-	var replayed tapeConsumer
-	rec.Feed(&replayed)
-
-	if !reflect.DeepEqual(walked.instrs, replayed.instrs) {
-		t.Fatal("replayed instructions differ from generated walk")
-	}
-	if !reflect.DeepEqual(walked.markers, replayed.markers) {
-		t.Fatal("replayed markers differ from generated walk")
-	}
-	if !reflect.DeepEqual(walked.order, replayed.order) {
-		t.Fatal("replayed interleaving differs from generated walk")
-	}
-	if rec.Instructions() != int64(len(walked.instrs)) {
-		t.Fatalf("Instructions() = %d, want %d", rec.Instructions(), len(walked.instrs))
-	}
-}
-
-// TestRecordingFeedBudget checks replay through a CountingConsumer
-// (which Feed unwraps): the inner consumer must see exactly the same
-// budgeted prefix it would on a generating walk.
-func TestRecordingFeedBudget(t *testing.T) {
-	prog := streamProg()
-	in := Input{Name: "train"}
-	rec := Record(prog, in)
-
-	for _, budget := range []int64{1, 37, 1 << 30} {
-		var walked tapeConsumer
-		prog.Walk(in, &CountingConsumer{Inner: &walked, Budget: budget})
-		var replayed tapeConsumer
-		rec.Feed(&CountingConsumer{Inner: &replayed, Budget: budget})
-		if !reflect.DeepEqual(walked.instrs, replayed.instrs) ||
-			!reflect.DeepEqual(walked.order, replayed.order) {
-			t.Fatalf("budget %d: replay through CountingConsumer diverges from walk", budget)
-		}
-	}
-}
-
-// TestRecordingEarlyStop checks that a consumer stopping mid-replay
-// ends the feed, mirroring a stopped walk.
-func TestRecordingEarlyStop(t *testing.T) {
-	prog := streamProg()
-	in := Input{Name: "train"}
-	rec := Record(prog, in)
-
-	var walked tapeConsumer
-	walked.stopAt = 20
-	prog.Walk(in, &walked)
-	var replayed tapeConsumer
-	replayed.stopAt = 20
-	rec.Feed(&replayed)
-	if !reflect.DeepEqual(walked.instrs, replayed.instrs) ||
-		!reflect.DeepEqual(walked.order, replayed.order) {
-		t.Fatal("stopped replay diverges from stopped walk")
-	}
-}
-
-// TestRecordSizedMatchesRecord verifies the capacity hint changes
-// nothing about the captured stream.
-func TestRecordSizedMatchesRecord(t *testing.T) {
-	prog := streamProg()
-	in := Input{Name: "train"}
-	a := Record(prog, in)
-	b := RecordSized(prog, in, a.Instructions())
-	if !reflect.DeepEqual(a.instrs, b.instrs) ||
-		!reflect.DeepEqual(a.markers, b.markers) ||
-		!reflect.DeepEqual(a.markerPos, b.markerPos) {
-		t.Fatal("RecordSized captured a different stream than Record")
-	}
 }

@@ -203,8 +203,9 @@ type Lease struct {
 	// Config is the full pipeline configuration the group runs under;
 	// the worker derives byte-identical cache and artifact keys from it.
 	Config core.Config `json:"config"`
-	// RecordingCache is the manifest's recorded-stream cache override
-	// for the engine the worker runs this group on (0 = automatic).
+	// RecordingCache is the manifest's bound on decoded packed streams
+	// held in memory by the engine the worker runs this group on
+	// (0 = automatic).
 	RecordingCache int `json:"recording_cache,omitempty"`
 	// Anchor is the group's shard-anchor key (diagnostic).
 	Anchor string `json:"anchor"`

@@ -11,22 +11,23 @@ import (
 	"repro/internal/workload"
 )
 
-// Batched execution. A policy grid is anchor-shaped: most jobs are one
-// budgeted pass over the same benchmark's reference stream under
-// different machine configurations. planBatches groups jobs by that
-// (benchmark, input, window) anchor and splits each anchor into up to
-// two lockstep units — the jobs that can run at once, and the jobs
-// bound to trained profiles — so ready lanes never wait behind
-// training. runGroup resolves a unit by opening one Lane per job and
-// stepping all of them in lockstep from the anchor's shared decoded
-// stream (isa.PackedStream.FeedLockstep), so the grid pays stream
-// decode and cache traffic once per unit — at most twice per anchor —
-// instead of once per job. Per-job lockstep delivery is item-for-item
-// identical to a sequential feed, so outcomes — and therefore
-// result-cache entries, artifacts, and merged report bytes — are
-// byte-identical to unbatched execution; the engine's memo, persistent
-// caches, dedup and summary counters are shared with the sequential
-// path, not forked.
+// Batched execution. Every job executes as a lane of a lockstep unit.
+// A policy grid is anchor-shaped: most jobs are one budgeted pass over
+// the same benchmark's reference stream under different machine
+// configurations. planBatches groups jobs by that (benchmark, input,
+// window) anchor and splits each anchor into up to two lockstep units —
+// the jobs that can run at once, and the jobs bound to trained
+// profiles — so ready lanes never wait behind training. runGroup
+// resolves a unit by opening one Lane per job and stepping all of them
+// in lockstep from the anchor's shared decoded stream
+// (isa.PackedStream.FeedLockstep), so the grid pays stream decode and
+// cache traffic once per unit — at most twice per anchor — instead of
+// once per job. A job resolved outside Run (Engine.Do, or a result
+// dependency no unit owns) is a wave of one through the same code.
+// Per-lane lockstep delivery is item-for-item identical to a sequential
+// feed, so outcomes — and therefore result-cache entries, artifacts,
+// and merged report bytes — do not depend on how jobs were grouped;
+// TestBatchedMatchesSequential holds them to a committed golden.
 
 // batchGroup is one lockstep unit of an anchor group: job indices that
 // stream the same benchmark's reference input, split into dependency
@@ -40,10 +41,8 @@ type batchGroup struct {
 	wave1 []int
 }
 
-// planBatches partitions a job list into lockstep units and leftover
-// single indices. A job joins a unit only when it validates and its
-// policy opens lanes; everything else — invalid jobs report their
-// validation error from the sequential path — stays single. Each
+// planBatches partitions a job list into lockstep units and returns
+// the indices of jobs that fail validation, which join no unit. Each
 // anchor yields a ready unit (wave-0 jobs whose policy declares no
 // dependencies) and then a profile-bound unit (wave-0 jobs with
 // profile dependencies, then the wave-1 jobs); a unit with no jobs is
@@ -51,21 +50,16 @@ type batchGroup struct {
 // unit, so they share one TrainFeedBatch pass per training stream.
 // Units follow anchor first appearance, ready unit first, so
 // scheduling stays deterministic and ready lanes start first.
-func planBatches(cfg core.Config, jobs []Job) ([]*batchGroup, []int) {
+func planBatches(cfg core.Config, jobs []Job) (units []*batchGroup, invalid []int) {
 	type anchor struct{ ready, bound batchGroup }
-	var singles []int
 	var order []*anchor
 	byBench := make(map[string]*anchor)
 	for i, j := range jobs {
 		if j.Validate() != nil {
-			singles = append(singles, i)
+			invalid = append(invalid, i)
 			continue
 		}
 		p, _ := PolicyByName(j.Policy)
-		if _, ok := p.(LanePolicy); !ok {
-			singles = append(singles, i)
-			continue
-		}
 		a := byBench[j.Bench]
 		if a == nil {
 			a = &anchor{ready: batchGroup{bench: j.Bench}, bound: batchGroup{bench: j.Bench}}
@@ -82,7 +76,6 @@ func planBatches(cfg core.Config, jobs []Job) ([]*batchGroup, []int) {
 			a.bound.wave0 = append(a.bound.wave0, i)
 		}
 	}
-	var units []*batchGroup
 	for _, a := range order {
 		for _, g := range []*batchGroup{&a.ready, &a.bound} {
 			if len(g.wave0)+len(g.wave1) > 0 {
@@ -90,7 +83,7 @@ func planBatches(cfg core.Config, jobs []Job) ([]*batchGroup, []int) {
 			}
 		}
 	}
-	return units, singles
+	return units, invalid
 }
 
 // hasResultDep reports whether a dependency list names another job's
@@ -105,29 +98,52 @@ func hasResultDep(deps []Dep) bool {
 }
 
 // runGroup resolves one lockstep unit, wave by wave.
-func (e *Engine) runGroup(ctx context.Context, jobs []Job, g *batchGroup, width int, report reportFn) {
-	e.runWave(ctx, jobs, g.wave0, width, report)
-	e.runWave(ctx, jobs, g.wave1, width, report)
+func (e *Engine) runGroup(ctx context.Context, jobs []Job, g *batchGroup, report reportFn) {
+	e.runWave(ctx, jobs, g.wave0, report)
+	e.runWave(ctx, jobs, g.wave1, report)
 }
 
 // reportFn delivers one finished job to Run's bookkeeping.
 type reportFn func(i int, key string, out *Outcome, src Source, elapsed time.Duration, err error)
 
-// laneJob is one wave job this runner owns the flight for.
+// laneJob is one job whose flight the resolving call owns.
 type laneJob struct {
-	idx  int
+	idx  int // index in Run's job list (unused by Do)
+	job  Job
 	key  string
 	f    *flight
 	lane *Lane
+	out  *Outcome
+	src  Source
 	err  error
 }
 
-// runWave resolves one wave of a lockstep unit. Owned jobs — those
-// whose singleflight this call claims — resolve through the persistent
-// cache and then one lockstep replay; jobs whose key is already in
-// flight elsewhere (or duplicated within the wave) join the existing
-// flight through the ordinary keyed path after the owners finish.
-func (e *Engine) runWave(ctx context.Context, jobs []Job, idxs []int, width int, report reportFn) {
+// fail records a job's execution error (wrapped with the job's name).
+func (o *laneJob) fail(err error) {
+	o.out, o.err = nil, fmt.Errorf("sweep: %s: %w", o.job, err)
+}
+
+// claimFlight returns key's flight and whether this call now owns it:
+// the first caller of a key resolves it, later callers wait on done.
+func (e *Engine) claimFlight(key string) (*flight, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.flight == nil {
+		e.flight = make(map[string]*flight)
+	}
+	if f, ok := e.flight[key]; ok {
+		return f, false
+	}
+	f := &flight{done: make(chan struct{})}
+	e.flight[key] = f
+	return f, true
+}
+
+// runWave resolves one wave of a lockstep unit. Jobs whose flight this
+// call claims resolve together through resolveOwned; jobs whose key is
+// already in flight elsewhere (or duplicated within the wave) join the
+// existing flight through the keyed path after the owners finish.
+func (e *Engine) runWave(ctx context.Context, jobs []Job, idxs []int, report reportFn) {
 	if len(idxs) == 0 {
 		return
 	}
@@ -138,91 +154,20 @@ func (e *Engine) runWave(ctx context.Context, jobs []Job, idxs []int, width int,
 		return
 	}
 	start := time.Now()
-	x := e.executor()
-
-	// Claim flights. Within-wave duplicates and keys already in flight
-	// join later instead of racing.
 	var owned []*laneJob
 	var joined []int
-	e.mu.Lock()
-	if e.flight == nil {
-		e.flight = make(map[string]*flight)
-	}
 	for _, i := range idxs {
 		key := Key(e.Cfg, jobs[i])
-		if _, ok := e.flight[key]; ok {
+		f, mine := e.claimFlight(key)
+		if !mine {
 			joined = append(joined, i)
 			continue
 		}
-		f := &flight{done: make(chan struct{})}
-		e.flight[key] = f
-		owned = append(owned, &laneJob{idx: i, key: key, f: f})
+		owned = append(owned, &laneJob{idx: i, job: jobs[i], key: key, f: f})
 	}
-	e.mu.Unlock()
-
-	// Serve owners from the persistent cache first; the remainder
-	// executes.
-	var pending []*laneJob
-	for _, o := range owned {
-		if out, ok := e.segmentLookup(o.key); ok {
-			e.finishFlight(o, out, SourceDisk)
-			report(o.idx, o.key, out, SourceDisk, time.Since(start), nil)
-			continue
-		}
-		if e.Cache != nil {
-			out, status := e.Cache.Load(o.key)
-			switch status {
-			case LoadHit:
-				e.nDisk.Add(1)
-				e.bufferSegRow(o.key, jobs[o.idx], out)
-				e.finishFlight(o, out, SourceDisk)
-				report(o.idx, o.key, out, SourceDisk, time.Since(start), nil)
-				continue
-			case LoadCorrupt:
-				e.noteCorrupt(e.Cache.EntryPath(o.key))
-			}
-		}
-		pending = append(pending, o)
-	}
-
-	if len(pending) > 0 {
-		// The wave replays the anchor's reference stream, and profile
-		// dependencies replay a training stream; reserve both stream
-		// slots so concurrent units cannot thrash the recording cache
-		// mid-batch.
-		x.reserveStreams(2)
-		e.resolveWave(jobs, pending, width)
-		x.reserveStreams(-2)
-		for _, o := range pending {
-			if o.err != nil {
-				e.failFlight(o)
-				report(o.idx, o.key, nil, SourceExecuted, time.Since(start), o.err)
-				continue
-			}
-			out, err := o.lane.Finish()
-			if err != nil {
-				o.err = fmt.Errorf("sweep: %s: %w", jobs[o.idx], err)
-				e.failFlight(o)
-				report(o.idx, o.key, nil, SourceExecuted, time.Since(start), o.err)
-				continue
-			}
-			e.nExecuted.Add(1)
-			if e.Cache != nil {
-				ps := time.Now()
-				err := e.Cache.Put(o.key, jobs[o.idx], out)
-				e.notePersist(o.key, jobs[o.idx], time.Since(ps), err)
-				if err != nil {
-					// Same contract as the sequential path: never throw
-					// finished work away over a persistence failure.
-					e.warnPersist(err)
-				} else {
-					e.bufferSegRow(o.key, jobs[o.idx], out)
-				}
-			}
-			e.finishFlight(o, out, SourceExecuted)
-			report(o.idx, o.key, out, SourceExecuted, time.Since(start), nil)
-		}
-	}
+	e.resolveOwned(owned, func(o *laneJob) {
+		report(o.idx, o.key, o.out, o.src, time.Since(start), o.err)
+	})
 
 	// Joined jobs resolve through the keyed path: by now their flights
 	// are closed (or owned by a concurrent call), so this is a memo wait.
@@ -234,10 +179,74 @@ func (e *Engine) runWave(ctx context.Context, jobs []Job, idxs []int, width int,
 	}
 }
 
-// resolveWave resolves dependencies, opens lanes, and drives the wave's
-// lockstep replay. Per-job failures land in laneJob.err; the batch
-// keeps going for the rest.
-func (e *Engine) resolveWave(jobs []Job, pending []*laneJob, width int) {
+// resolveOwned resolves jobs whose flights the caller owns: each is
+// answered by the columnar segment layer, then the JSON result cache
+// (corrupt entries are counted and treated as misses), and the rest
+// execute together as one wave. Executed outcomes are persisted and
+// buffered for the next segment; every flight is published before done
+// sees its job. Failed flights are dropped so a later call can retry.
+func (e *Engine) resolveOwned(owned []*laneJob, done func(*laneJob)) {
+	var pending []*laneJob
+	for _, o := range owned {
+		if out, ok := e.lookup(o.key, o.job); ok {
+			o.out, o.src = out, SourceDisk
+			e.publish(o)
+			done(o)
+			continue
+		}
+		o.src = SourceExecuted
+		pending = append(pending, o)
+	}
+	if len(pending) == 0 {
+		return
+	}
+	// The wave replays the anchor's reference stream, and profile
+	// dependencies replay a training stream; reserve both stream slots
+	// so concurrent units cannot thrash the stream cache mid-wave.
+	x := e.executor()
+	x.reserveStreams(2)
+	e.executeWave(pending)
+	x.reserveStreams(-2)
+	for _, o := range pending {
+		if o.err == nil {
+			e.nExecuted.Add(1)
+			e.persist(o.key, o.job, o.out)
+		}
+		e.publish(o)
+		done(o)
+	}
+}
+
+// publish hands an owned flight's result to its waiters; a failed
+// flight is dropped so a later call can retry (e.g. after a permission
+// problem on the cache directory is fixed).
+func (e *Engine) publish(o *laneJob) {
+	o.f.out, o.f.src, o.f.err = o.out, o.src, o.err
+	close(o.f.done)
+	if o.err != nil {
+		e.mu.Lock()
+		delete(e.flight, o.key)
+		e.mu.Unlock()
+	}
+}
+
+// executeWave executes a wave's cache-missed jobs, all of one
+// benchmark: resolve their dependencies, open their lanes, drive one
+// lockstep replay per autoBatchWidth lanes, and finish each lane. Each
+// job's outcome or error lands in its laneJob; the wave keeps going
+// past per-job failures. An Engine.ExecFn override replaces dependency
+// resolution and lanes alike.
+func (e *Engine) executeWave(pending []*laneJob) {
+	if e.ExecFn != nil {
+		for _, o := range pending {
+			if out, err := e.ExecFn(o.job); err != nil {
+				o.fail(err)
+			} else {
+				o.out = out
+			}
+		}
+		return
+	}
 	x := e.executor()
 
 	// Batch-train the wave's missing profile dependencies: distinct
@@ -245,8 +254,8 @@ func (e *Engine) resolveWave(jobs []Job, pending []*laneJob, width int) {
 	var specs []ProfileSpec
 	seen := make(map[ProfileSpec]bool)
 	for _, o := range pending {
-		p, _ := PolicyByName(jobs[o.idx].Policy)
-		for _, d := range p.Deps(e.Cfg, jobs[o.idx]) {
+		p, _ := PolicyByName(o.job.Policy)
+		for _, d := range p.Deps(e.Cfg, o.job) {
 			if d.Profile != nil && !seen[*d.Profile] {
 				seen[*d.Profile] = true
 				specs = append(specs, *d.Profile)
@@ -257,40 +266,13 @@ func (e *Engine) resolveWave(jobs []Job, pending []*laneJob, width int) {
 
 	// Resolve each job's dependencies (profiles now memoized; result
 	// deps wait on their flights, usually owned by the anchor's ready
-	// unit) and open its lane.
+	// unit, or resolve as waves of one) and open its lane.
 	var lanes []*laneJob
 	for _, o := range pending {
-		job := jobs[o.idx]
-		p, _ := PolicyByName(job.Policy)
-		lp, _ := p.(LanePolicy)
-		deps := p.Deps(e.Cfg, job)
-		resolved := make([]Resolved, len(deps))
-		for i, d := range deps {
-			if d.Profile != nil {
-				prof, err := x.profile(*d.Profile)
-				if err != nil {
-					o.err = fmt.Errorf("sweep: %s: %w", job, err)
-					break
-				}
-				resolved[i].Profile = prof
-			} else {
-				out, _, err := e.Do(*d.Job)
-				if err != nil {
-					o.err = fmt.Errorf("sweep: %s: %w", job, err)
-					break
-				}
-				resolved[i].Outcome = out
-			}
-		}
-		if o.err != nil {
+		if err := e.openLane(o); err != nil {
+			o.fail(err)
 			continue
 		}
-		ln, err := lp.OpenLane(x, job, resolved)
-		if err != nil {
-			o.err = fmt.Errorf("sweep: %s: %w", job, err)
-			continue
-		}
-		o.lane = ln
 		lanes = append(lanes, o)
 	}
 	if len(lanes) == 0 {
@@ -298,14 +280,9 @@ func (e *Engine) resolveWave(jobs []Job, pending []*laneJob, width int) {
 	}
 
 	// One lockstep replay per chunk of the shared decoded stream.
-	b := workload.ByName(jobs[lanes[0].idx].Bench)
-	stream := x.packed(b, true)
-	for at := 0; at < len(lanes); at += width {
-		hi := at + width
-		if hi > len(lanes) {
-			hi = len(lanes)
-		}
-		chunk := lanes[at:hi]
+	stream := x.packed(workload.ByName(lanes[0].job.Bench), true)
+	for at := 0; at < len(lanes); at += autoBatchWidth {
+		chunk := lanes[at:min(at+autoBatchWidth, len(lanes))]
 		sl := make([]isa.StreamLane, len(chunk))
 		for k, o := range chunk {
 			sl[k] = isa.StreamLane{Consumer: o.lane.Consumer, Budget: o.lane.Budget}
@@ -322,8 +299,8 @@ func (e *Engine) resolveWave(jobs []Job, pending []*laneJob, width int) {
 				tr.Emit(obs.Span{
 					Key:     o.key,
 					Phase:   "simulate",
-					Policy:  jobs[o.idx].Policy,
-					Bench:   jobs[o.idx].Bench,
+					Policy:  o.job.Policy,
+					Bench:   o.job.Bench,
 					Outcome: "lockstep",
 					StartNS: tr.Now() - int64(d),
 					DurNS:   int64(d),
@@ -331,20 +308,42 @@ func (e *Engine) resolveWave(jobs []Job, pending []*laneJob, width int) {
 			}
 		}
 	}
+	for _, o := range lanes {
+		if out, err := o.lane.Finish(); err != nil {
+			o.fail(err)
+		} else {
+			o.out = out
+		}
+	}
 }
 
-// finishFlight publishes an owned flight's outcome to waiters.
-func (e *Engine) finishFlight(o *laneJob, out *Outcome, src Source) {
-	o.f.out, o.f.src = out, src
-	close(o.f.done)
-}
-
-// failFlight publishes an owned flight's error and drops it so a later
-// call can retry.
-func (e *Engine) failFlight(o *laneJob) {
-	o.f.err = o.err
-	close(o.f.done)
-	e.mu.Lock()
-	delete(e.flight, o.key)
-	e.mu.Unlock()
+// openLane resolves one job's declared dependencies — profiles through
+// the artifact layers, results through the engine like any directly
+// requested job — and opens the job's lane.
+func (e *Engine) openLane(o *laneJob) error {
+	x := e.executor()
+	p, _ := PolicyByName(o.job.Policy)
+	deps := p.Deps(e.Cfg, o.job)
+	resolved := make([]Resolved, len(deps))
+	for i, d := range deps {
+		if d.Profile != nil {
+			prof, err := x.profile(*d.Profile)
+			if err != nil {
+				return err
+			}
+			resolved[i].Profile = prof
+			continue
+		}
+		out, _, err := e.Do(*d.Job)
+		if err != nil {
+			return err
+		}
+		resolved[i].Outcome = out
+	}
+	ln, err := p.OpenLane(x, o.job, resolved)
+	if err != nil {
+		return err
+	}
+	o.lane = ln
+	return nil
 }

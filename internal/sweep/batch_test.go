@@ -18,18 +18,20 @@ import (
 )
 
 // TestBatchedMatchesSequential is the batching acceptance gate: for
-// every built-in topology, a full policy grid run with lockstep
-// batching must be indistinguishable on disk and in memory from the
-// same grid run job-by-job — identical per-job outcomes, identical
-// result-cache entry bytes, identical artifact-store bytes, and the
-// same executed/error counts. Batching is a throughput optimization
-// only; any divergence here is a correctness bug, not a tuning matter.
-// The batched side runs at one and two engine workers: at two, an
+// every built-in topology, a full policy grid run in lockstep must
+// reproduce the job-by-job sequential execution the engine once had —
+// identical per-job outcomes, identical result-cache and artifact-store
+// bytes, and the same executed/error counts. The sequential side is a
+// committed golden (testdata/batched/<topology>.json) recorded from
+// that path on linux/amd64, where the batched path matched it byte for
+// byte. The batched side runs at one and two engine workers: at two, an
 // anchor's ready and profile-bound units overlap, and the global job
-// waits on a single-clock flight the other unit owns.
+// waits on a single-clock flight the other unit owns. Any divergence is
+// a correctness bug, not a tuning matter; -update rewrites the goldens
+// from the one-worker run.
 func TestBatchedMatchesSequential(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains two profiles per topology, three times")
+		t.Skip("trains two profiles per topology, twice")
 	}
 	for _, name := range arch.TopologyNames() {
 		t.Run(name, func(t *testing.T) {
@@ -44,35 +46,26 @@ func TestBatchedMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := m.Config()
-			run := func(dir string, workers int, opts ...RunOption) ([]*Outcome, Summary) {
+			run := func(workers int) runGolden {
+				dir := t.TempDir()
 				eng := New(cfg)
 				eng.Workers = workers
 				eng.Cache = &Cache{Dir: dir}
 				eng.Artifacts = ArtifactStore(dir)
-				outs, sum, err := eng.Run(context.Background(), jobs, opts...)
+				outs, sum, err := eng.Run(context.Background(), jobs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return outs, sum
+				return captureGolden(t, jobs, outs, sum, dir)
 			}
-			dirSeq := t.TempDir()
-			seqOuts, seqSum := run(dirSeq, 0, WithBatching(0))
-
+			path := filepath.Join("testdata", "batched", name+".json")
+			if *update {
+				writeGolden(t, path, run(1))
+			}
+			want := readGolden(t, path)
 			for _, workers := range []int{1, 2} {
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					dirBat := t.TempDir()
-					batOuts, batSum := run(dirBat, workers) // automatic lockstep width
-					for i := range jobs {
-						a, _ := json.Marshal(seqOuts[i])
-						b, _ := json.Marshal(batOuts[i])
-						if !bytes.Equal(a, b) {
-							t.Errorf("%s: outcome diverged\nseq %s\nbat %s", jobs[i], a, b)
-						}
-					}
-					if seqSum.Executed != batSum.Executed || seqSum.Errors != batSum.Errors {
-						t.Errorf("summary diverged: seq %+v bat %+v", seqSum, batSum)
-					}
-					compareTrees(t, dirSeq, dirBat)
+					compareGolden(t, want, run(workers))
 				})
 			}
 		})
@@ -143,9 +136,9 @@ func TestPlanBatchesSplitsReadyFromProfileBound(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			units, singles := planBatches(core.DefaultConfig(), tc.jobs)
-			if len(singles) != 0 {
-				t.Errorf("singles = %v, want none", singles)
+			units, invalid := planBatches(core.DefaultConfig(), tc.jobs)
+			if len(invalid) != 0 {
+				t.Errorf("invalid = %v, want none", invalid)
 			}
 			got := make([]batchGroup, len(units))
 			for i, u := range units {
@@ -157,11 +150,11 @@ func TestPlanBatchesSplitsReadyFromProfileBound(t *testing.T) {
 		})
 	}
 
-	// Jobs that fail validation stay single and never reach a unit.
+	// Jobs that fail validation are returned apart and never reach a unit.
 	jobs := []Job{{Bench: "adpcm_decode", Policy: PolicyBaseline}, {Bench: "no_such_bench", Policy: PolicyBaseline}}
-	units, singles := planBatches(core.DefaultConfig(), jobs)
-	if len(units) != 1 || !reflect.DeepEqual(singles, []int{1}) {
-		t.Errorf("invalid job: units %d singles %v, want 1 unit and singles [1]", len(units), singles)
+	units, invalid := planBatches(core.DefaultConfig(), jobs)
+	if len(units) != 1 || !reflect.DeepEqual(invalid, []int{1}) {
+		t.Errorf("invalid job: units %d invalid %v, want 1 unit and invalid [1]", len(units), invalid)
 	}
 }
 
@@ -240,6 +233,55 @@ func TestReadyLanesDoNotWaitForTraining(t *testing.T) {
 	}
 }
 
+// TestDoMatchesRun pins the wave of one that Engine.Do resolves
+// through. On cold stores, a global job requested alone — its
+// single_clock and offline dependencies belong to no Run, so each
+// resolves as its own one-job wave — must produce the same outcome
+// bytes, execute as many jobs, and leave the same cache tree (results,
+// artifacts, packed streams) as the same job resolved inside one
+// Engine.Run whose units own its dependencies as lanes.
+func TestDoMatchesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the off-line profile twice")
+	}
+	const bench = "adpcm_decode"
+	global := Job{Bench: bench, Policy: PolicyGlobal}
+	jobs := []Job{{Bench: bench, Policy: PolicySingleClock}, {Bench: bench, Policy: PolicyOffline}, global}
+	engine := func(dir string) *Engine {
+		eng := New(core.DefaultConfig())
+		eng.Workers = 2
+		eng.Cache = &Cache{Dir: dir}
+		eng.Artifacts = ArtifactStore(dir)
+		eng.Streams = StreamStoreFor(dir)
+		return eng
+	}
+
+	dirDo := t.TempDir()
+	doEng := engine(dirDo)
+	doOut, src, err := doEng.Do(global)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src != SourceExecuted {
+		t.Errorf("Do on a cold store: source %s, want executed", src)
+	}
+
+	dirRun := t.TempDir()
+	outs, sum, err := engine(dirRun).Run(context.Background(), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(doOut)
+	b, _ := json.Marshal(outs[2])
+	if !bytes.Equal(a, b) {
+		t.Errorf("global outcome diverged\nDo  %s\nRun %s", a, b)
+	}
+	if n := doEng.nExecuted.Load(); n != int64(sum.Executed) || n != int64(len(jobs)) {
+		t.Errorf("executed: Do %d, Run %d, want %d", n, sum.Executed, len(jobs))
+	}
+	compareTrees(t, dirDo, dirRun)
+}
+
 // compareTrees asserts two cache directories hold the same relative
 // paths with the same bytes.
 func compareTrees(t *testing.T, dirA, dirB string) {
@@ -270,16 +312,16 @@ func compareTrees(t *testing.T, dirA, dirB string) {
 	for rel, ab := range a {
 		bb, ok := b[rel]
 		if !ok {
-			t.Errorf("batched cache missing %s", rel)
+			t.Errorf("second cache missing %s", rel)
 			continue
 		}
 		if !bytes.Equal(ab, bb) {
-			t.Errorf("cache entry %s differs between sequential and batched runs", rel)
+			t.Errorf("cache entry %s differs between the two runs", rel)
 		}
 	}
 	for rel := range b {
 		if _, ok := a[rel]; !ok {
-			t.Errorf("batched cache has extra entry %s", rel)
+			t.Errorf("second cache has extra entry %s", rel)
 		}
 	}
 }

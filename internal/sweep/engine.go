@@ -83,11 +83,11 @@ type Engine struct {
 	Cfg core.Config
 	// Workers bounds Run's concurrency; 0 means GOMAXPROCS.
 	Workers int
-	// RecordingCache bounds how many recorded benchmark streams the
-	// executor retains (each is ~13 B/instruction); 0 sizes it
-	// automatically from Workers. Batched execution reserves extra slots
-	// for the streams its anchor group replays, so grids never thrash
-	// the cache into re-recording mid-batch. Set before first use.
+	// RecordingCache bounds how many decoded packed benchmark streams
+	// the executor holds in memory (each is ~13 B/instruction); 0 sizes
+	// it automatically from Workers. Each executing wave reserves extra
+	// slots for the streams it replays, so grids never thrash the cache
+	// into re-decoding or re-walking mid-unit. Set before first use.
 	RecordingCache int
 	// Cache, when non-nil, persists outcomes across processes.
 	Cache *Cache
@@ -112,8 +112,10 @@ type Engine struct {
 	// store serves every config and topology. Corrupt entries count into
 	// Summary.CorruptEntries and are rewritten from a fresh walk.
 	Streams *StreamStore
-	// ExecFn overrides the built-in policy executor (tests use this to
-	// count executions without running the simulator).
+	// ExecFn, when non-nil, executes each cache-missed job in place of
+	// its lane: dependencies are not resolved and no stream is replayed
+	// (tests use this to count executions without running the
+	// simulator). Scheduling, caching and flights are unchanged.
 	ExecFn func(Job) (*Outcome, error)
 	// Trace, when non-nil, records span-level phase timing into a
 	// bounded ring (internal/obs): one span per job plus spans for each
@@ -223,78 +225,72 @@ func (e *Engine) Do(job Job) (*Outcome, Source, error) {
 }
 
 // doKeyed is Do after validation, for callers that already derived the
-// job's key (Run hands it to the completion callback, and key
-// derivation marshals the full config — not worth doing twice per job).
+// job's key (key derivation marshals the full config — not worth doing
+// twice per job). A job whose flight this call claims resolves as a
+// wave of one, through the same path as a lockstep unit's jobs.
 func (e *Engine) doKeyed(key string, job Job) (*Outcome, Source, error) {
-	e.mu.Lock()
-	if e.flight == nil {
-		e.flight = make(map[string]*flight)
-	}
-	if f, ok := e.flight[key]; ok {
-		e.mu.Unlock()
+	f, mine := e.claimFlight(key)
+	if !mine {
 		<-f.done
 		if f.err != nil {
 			return nil, SourceMemory, f.err
 		}
 		return f.out, SourceMemory, nil
 	}
-	f := &flight{done: make(chan struct{})}
-	e.flight[key] = f
-	e.mu.Unlock()
-
-	f.out, f.src, f.err = e.resolve(key, job)
-	close(f.done)
-	if f.err != nil {
-		// Drop failed flights so a later call can retry (e.g. after a
-		// permission problem on the cache directory is fixed).
-		e.mu.Lock()
-		delete(e.flight, key)
-		e.mu.Unlock()
-		return nil, f.src, f.err
-	}
-	return f.out, f.src, nil
+	o := &laneJob{job: job, key: key, f: f}
+	e.resolveOwned([]*laneJob{o}, func(*laneJob) {})
+	return o.out, o.src, o.err
 }
 
-func (e *Engine) resolve(key string, job Job) (*Outcome, Source, error) {
-	if out, ok := e.segmentLookup(key); ok {
-		return out, SourceDisk, nil
-	}
-	if e.Cache != nil {
-		out, status := e.Cache.Load(key)
-		switch status {
-		case LoadHit:
+// lookup answers a key from the persistent layers: the columnar
+// segment layer first, then the JSON cache. A segment hit counts as a
+// disk hit too (it is one — just a cheaper decode), so disk-hit
+// assertions and summaries are unaffected by whether segments exist.
+// A JSON hit backfills the segment layer, so a JSON-only cache grows
+// segments over one warm run; a corrupt entry is counted and treated
+// as a miss.
+func (e *Engine) lookup(key string, job Job) (*Outcome, bool) {
+	if e.Segments != nil {
+		if out, ok := e.Segments.Get(key); ok {
+			e.nSegment.Add(1)
 			e.nDisk.Add(1)
-			// Backfill: a JSON-only cache grows its segment layer over
-			// one warm run, no separate conversion pass needed.
-			e.bufferSegRow(key, job, out)
-			return out, SourceDisk, nil
-		case LoadCorrupt:
-			e.noteCorrupt(e.Cache.EntryPath(key))
+			return out, true
 		}
 	}
-	out, err := e.executeJob(key, job)
+	if e.Cache == nil {
+		return nil, false
+	}
+	out, status := e.Cache.Load(key)
+	switch status {
+	case LoadHit:
+		e.nDisk.Add(1)
+		e.bufferSegRow(key, job, out)
+		return out, true
+	case LoadCorrupt:
+		e.noteCorrupt(e.Cache.EntryPath(key))
+	}
+	return nil, false
+}
+
+// persist writes one executed outcome to the result cache. The
+// simulation already succeeded; a persistence failure (full disk, lost
+// permission) must not throw that work away, so the outcome stays
+// memoized in process and the engine warns once — a later merge names
+// any jobs that never landed. Only rows the canonical JSON layer
+// accepted enter the segment layer: segments must stay a strict subset
+// of the oracle, never ahead of it.
+func (e *Engine) persist(key string, job Job, out *Outcome) {
+	if e.Cache == nil {
+		return
+	}
+	start := time.Now()
+	err := e.Cache.Put(key, job, out)
+	e.notePersist(key, job, time.Since(start), err)
 	if err != nil {
-		return nil, SourceExecuted, fmt.Errorf("sweep: %s: %w", job, err)
+		e.warnPersist(err)
+		return
 	}
-	e.nExecuted.Add(1)
-	if e.Cache != nil {
-		start := time.Now()
-		err := e.Cache.Put(key, job, out)
-		e.notePersist(key, job, time.Since(start), err)
-		if err != nil {
-			// The simulation already succeeded; a persistence failure
-			// (full disk, lost permission) must not throw that work
-			// away. Keep the outcome memoized in process and warn once
-			// — a later merge will name any jobs that never landed.
-			e.warnPersist(err)
-		} else {
-			// Only rows the canonical JSON layer accepted enter the
-			// segment layer: segments must stay a strict subset of the
-			// oracle, never ahead of it.
-			e.bufferSegRow(key, job, out)
-		}
-	}
-	return out, SourceExecuted, nil
+	e.bufferSegRow(key, job, out)
 }
 
 // notePersist accounts one result-cache write in the phase breakdown
@@ -316,21 +312,6 @@ func (e *Engine) notePersist(key string, job Job, d time.Duration, err error) {
 			DurNS:   int64(d),
 		})
 	}
-}
-
-// segmentLookup consults the columnar layer. A segment hit counts as a
-// disk hit too (it is one — just a cheaper decode), so disk-hit
-// assertions and summaries are unaffected by whether segments exist.
-func (e *Engine) segmentLookup(key string) (*Outcome, bool) {
-	if e.Segments == nil {
-		return nil, false
-	}
-	out, ok := e.Segments.Get(key)
-	if ok {
-		e.nSegment.Add(1)
-		e.nDisk.Add(1)
-	}
-	return out, ok
 }
 
 // bufferSegRow queues one completed row for the columnar layer; Run
@@ -380,24 +361,12 @@ func (e *Engine) flushSegments() {
 	}
 }
 
-// executeJob dispatches one cache-missed job to the ExecFn override or
-// the built-in executor (which correlates its simulate span to key).
-func (e *Engine) executeJob(key string, job Job) (*Outcome, error) {
-	if e.ExecFn != nil {
-		return e.ExecFn(job)
-	}
-	return e.executor().executeKeyed(key, job)
-}
-
 // RunOption configures one Run call.
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	onDone   func(JobDone)
-	pool     *WorkerPool
-	poolSet  bool
-	batch    int
-	batchSet bool
+	onDone func(JobDone)
+	pool   *WorkerPool
 }
 
 // WithOnDone streams per-job completions: fn is invoked once per job in
@@ -412,47 +381,27 @@ func WithOnDone(fn func(JobDone)) RunOption {
 // of per-call workers (nil, or an absent option, keeps per-call
 // workers).
 func WithPool(p *WorkerPool) RunOption {
-	return func(rc *runConfig) { rc.pool, rc.poolSet = p, true }
+	return func(rc *runConfig) { rc.pool = p }
 }
 
-// WithBatching bounds how many jobs one lockstep pass steps together:
-// jobs that share a (benchmark, input, window) anchor are grouped into
-// at most two units per anchor — jobs without dependencies, and jobs
-// bound to trained profiles — and each unit is simulated in lockstep
-// from the anchor's decoded stream, n lanes at a time. n == 0 disables
-// batching (every job resolves alone); n < 0 or an absent option picks
-// the automatic width. Batched and sequential execution produce
-// byte-identical results, cache entries, and artifacts — the option
-// only trades memory (n live machines per unit) against stream-decode
-// and cache-traffic savings.
-func WithBatching(n int) RunOption {
-	return func(rc *runConfig) { rc.batch, rc.batchSet = n, true }
-}
-
-// autoBatchWidth is the default lockstep width: wide enough to cover
-// the paper's policy grids per benchmark, narrow enough that the live
-// machines' state stays modest.
+// autoBatchWidth is the lockstep width — how many lanes one replay
+// steps together: wide enough to cover the paper's policy grids per
+// benchmark, narrow enough that the live machines' state stays modest.
 const autoBatchWidth = 32
 
 // Run resolves a batch of jobs and returns their outcomes in input
 // order plus a summary of cache behavior. Individual job failures leave
 // a nil outcome at that index; the joined error reports all of them.
-// Options select streaming callbacks (WithOnDone), the worker pool
-// (WithPool), and lockstep batching (WithBatching). A canceled ctx
-// fails jobs that have not started with ctx.Err(); work already in
-// flight completes and is cached normally.
+// Options select streaming callbacks (WithOnDone) and the worker pool
+// (WithPool). Every valid job executes as a lane of its anchor's
+// lockstep unit (see planBatches); a job that fails validation is
+// reported at once. A canceled ctx fails the waves that have not
+// started with ctx.Err(); work already in flight completes and is
+// cached normally.
 func (e *Engine) Run(ctx context.Context, jobs []Job, opts ...RunOption) ([]*Outcome, Summary, error) {
 	rc := runConfig{}
 	for _, o := range opts {
 		o(&rc)
-	}
-	var pool *WorkerPool
-	if rc.poolSet {
-		pool = rc.pool
-	}
-	width := autoBatchWidth
-	if rc.batchSet && rc.batch >= 0 {
-		width = rc.batch
 	}
 
 	outs := make([]*Outcome, len(jobs))
@@ -498,52 +447,20 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, opts ...RunOption) ([]*Out
 			cbMu.Unlock()
 		}
 	}
-	do := func(i int) {
-		start := time.Now()
-		var key string
-		var out *Outcome
-		src := SourceMemory // matches Do's label for validation failures
-		err := ctx.Err()
-		if err == nil {
-			err = jobs[i].Validate()
-		}
-		if err == nil {
-			key = Key(e.Cfg, jobs[i])
-			out, src, err = e.doKeyed(key, jobs[i])
-		}
-		report(i, key, out, src, time.Since(start), err)
-	}
 
-	// Partition the batch into schedulable units: lockstep units (an
-	// anchor's ready jobs, then its profile-bound jobs), and single
-	// jobs. The built-in executor is required for batching — an ExecFn
-	// override bypasses lanes entirely.
-	var units []func()
-	if width > 0 && e.ExecFn == nil {
-		groups, singles := planBatches(e.Cfg, jobs)
-		for _, i := range singles {
-			i := i
-			units = append(units, func() { do(i) })
-		}
-		for _, g := range groups {
-			g := g
-			units = append(units, func() { e.runGroup(ctx, jobs, g, width, report) })
-		}
-	} else {
-		for i := range jobs {
-			i := i
-			units = append(units, func() { do(i) })
-		}
+	units, invalid := planBatches(e.Cfg, jobs)
+	for _, i := range invalid {
+		report(i, "", nil, SourceMemory, 0, jobs[i].Validate())
 	}
 
 	var wg sync.WaitGroup
-	if pool != nil {
-		for _, u := range units {
-			u := u
+	if rc.pool != nil {
+		for _, g := range units {
+			g := g
 			wg.Add(1)
-			pool.Submit(func() {
+			rc.pool.Submit(func() {
 				defer wg.Done()
-				u()
+				e.runGroup(ctx, jobs, g, report)
 			})
 		}
 	} else {
@@ -554,18 +471,18 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, opts ...RunOption) ([]*Out
 		if workers > len(units) {
 			workers = len(units)
 		}
-		ch := make(chan func())
+		ch := make(chan *batchGroup)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for u := range ch {
-					u()
+				for g := range ch {
+					e.runGroup(ctx, jobs, g, report)
 				}
 			}()
 		}
-		for _, u := range units {
-			ch <- u
+		for _, g := range units {
+			ch <- g
 		}
 		close(ch)
 	}

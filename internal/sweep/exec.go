@@ -15,8 +15,9 @@ import (
 	"repro/internal/workload"
 )
 
-// executor is the engine's Runtime: it resolves a job's declared
-// dependencies and hands the resolved values to the job's policy.
+// executor is the engine's Runtime — the configuration, replayable
+// streams and replanning a policy's OpenLane uses — and owns the
+// trained-profile layers that profile dependencies resolve through.
 // Training (phases one and two) is delta-independent and by far the
 // most expensive part of a profile-driven job, so trained profiles
 // resolve through two layers keyed by their content-addressed artifact
@@ -25,12 +26,12 @@ import (
 // cheaply per delta point, even when the points run concurrently, and a
 // fleet of processes sharing one store directory trains once total.
 //
-// The executor also keeps a small LRU of recorded dynamic streams: a
-// policy grid simulates the same (benchmark, input) stream once per
-// policy, and regenerating it costs roughly a third of each run. The
-// cache is bounded (a packed recording is ~13 B/instruction), and a recorded
-// replay is item-for-item identical to a generating walk, so outcomes
-// — and therefore cache keys and report bytes — are unchanged.
+// The executor also keeps a small LRU of decoded packed streams: every
+// lockstep unit of a grid replays its benchmark's reference stream, and
+// regenerating it costs roughly a third of each run. The cache is
+// bounded (a packed stream is ~13 B/instruction), and replay is
+// item-for-item identical to a generating walk, so outcomes — and
+// therefore cache keys and report bytes — are unchanged.
 type executor struct {
 	eng *Engine
 
@@ -54,17 +55,17 @@ type streamFlight struct {
 	recorded bool
 }
 
-// maxStreams bounds retained recordings. The base bound is the
-// engine's RecordingCache knob, defaulting to worker count plus slack:
-// workers process jobs benchmark-major, so at most one stream per
-// worker is typically live, and the slack covers the train/ref pair a
-// training job touches. Running batches additionally reserve the slots
-// their anchor group replays (reserveStreams), so a lockstep batch can
-// never have its own streams evicted under it by concurrent groups.
-// Recordings still in flight are never evicted — eviction mid-recording
+// maxStreams bounds the decoded packed streams held in memory. The
+// base bound is the engine's RecordingCache knob, defaulting to worker
+// count plus slack: workers process units benchmark-major, so at most
+// one stream per worker is typically live, and the slack covers the
+// train/ref pair a training touches. Executing waves additionally
+// reserve the slots they replay (reserveStreams), so a lockstep unit
+// can never have its own streams evicted under it by concurrent units.
+// Streams still being resolved are never evicted — eviction mid-walk
 // would make concurrent jobs re-record the same stream — so momentary
-// occupancy can exceed the bound by the number of in-flight recordings,
-// which the worker pool already caps.
+// occupancy can exceed the bound by the number of in-flight
+// resolutions, which the worker pool already caps.
 func (x *executor) maxStreams() int {
 	base := x.eng.RecordingCache
 	if base <= 0 {
@@ -77,8 +78,8 @@ func (x *executor) maxStreams() int {
 	return base + x.reserved
 }
 
-// reserveStreams adjusts the batch reservation (delta may be negative);
-// callers bracket each lockstep batch with a matching pair.
+// reserveStreams adjusts the wave reservation (delta may be negative);
+// callers bracket each executing wave with a matching pair.
 func (x *executor) reserveStreams(delta int) {
 	x.smu.Lock()
 	x.reserved += delta
@@ -96,15 +97,15 @@ func newExecutor(e *Engine) *executor {
 // Config returns the engine configuration (Runtime).
 func (x *executor) Config() core.Config { return x.eng.Cfg }
 
-// Feeder returns a replayable stream for one benchmark input, recording
-// it on first use (Runtime). Concurrent requests for the same stream
-// share one recording.
+// Feeder returns a replayable stream for one benchmark input, loading
+// or recording it on first use (Runtime). Concurrent requests for the
+// same stream share one resolution.
 func (x *executor) Feeder(b *workload.Benchmark, ref bool) isa.Feeder {
 	return x.packed(b, ref)
 }
 
-// packed is Feeder with the concrete packed-stream type, which the
-// batch executor needs for lockstep replay.
+// packed is Feeder with the concrete packed-stream type, which
+// lockstep replay needs.
 func (x *executor) packed(b *workload.Benchmark, ref bool) *isa.PackedStream {
 	in, window := b.Train, b.TrainWindow
 	if ref {
@@ -128,7 +129,7 @@ func (x *executor) packed(b *workload.Benchmark, ref bool) *isa.PackedStream {
 	x.streams[key] = f
 	x.lru = append(x.lru, key)
 	if limit := x.maxStreams(); len(x.lru) > limit {
-		// Evict the least recent completed recording; skip in-flight ones.
+		// Evict the least recent resolved stream; skip in-flight ones.
 		for i := 0; i < len(x.lru); i++ {
 			k := x.lru[i]
 			if e, ok := x.streams[k]; ok && e.recorded {
@@ -203,31 +204,24 @@ func (x *executor) loadOrRecordStream(b *workload.Benchmark, in isa.Input, windo
 // profile resolves one trained profile: in-process memo (with per-key
 // singleflight), then the persistent artifact store, then training —
 // which persists the new artifact so sibling processes sharing the
-// store directory never retrain it.
+// store directory never retrain it. It is a profile batch of one spec.
 func (x *executor) profile(spec ProfileSpec) (*core.Profile, error) {
-	b := workload.ByName(spec.Bench)
-	if b == nil {
+	if workload.ByName(spec.Bench) == nil {
 		return nil, fmt.Errorf("unknown benchmark %q", spec.Bench)
 	}
-	scheme, ok := SchemeByName(spec.Scheme)
-	if !ok {
+	if _, ok := SchemeByName(spec.Scheme); !ok {
 		return nil, fmt.Errorf("unknown context scheme %q", spec.Scheme)
 	}
 	key := spec.ArtifactKey(x.eng.Cfg)
+	start := time.Now()
+	claimed := x.profileBatch([]ProfileSpec{spec}) > 0
 	x.mu.Lock()
-	if f, ok := x.profiles[key]; ok {
-		x.mu.Unlock()
-		start := time.Now()
-		<-f.done
-		x.noteProfile(key, spec.Bench, "memo", time.Since(start))
-		return f.prof, nil
-	}
-	f := &profFlight{done: make(chan struct{})}
-	x.profiles[key] = f
+	f := x.profiles[key]
 	x.mu.Unlock()
-
-	f.prof = x.resolveProfile(key, spec, b, scheme)
-	close(f.done)
+	<-f.done
+	if !claimed {
+		x.noteProfile(key, spec.Bench, "memo", time.Since(start))
+	}
 	return f.prof, nil
 }
 
@@ -252,30 +246,6 @@ func (x *executor) noteProfile(key, bench, outcome string, d time.Duration) {
 			DurNS:   int64(d),
 		})
 	}
-}
-
-// resolveProfile loads a stored profile or trains and stores a new one.
-// Store damage is never fatal: corrupt entries are counted, surfaced
-// once, and overwritten by the fresh training.
-func (x *executor) resolveProfile(key string, spec ProfileSpec, b *workload.Benchmark, scheme calltree.Scheme) *core.Profile {
-	start := time.Now()
-	if prof := x.loadStored(key); prof != nil {
-		x.noteProfile(key, spec.Bench, "artifact", time.Since(start))
-		return prof
-	}
-	_, window := spec.inputWindow(b)
-	// Resolve the stream before the training window opens so stream
-	// decode time stays in the "stream" phase, not in "train".
-	feed := x.Feeder(b, spec.OnRef)
-	cfg := x.eng.Cfg
-	sink := &phaseSink{e: x.eng, key: key, bench: spec.Bench}
-	cfg.Observe = sink
-	t0 := time.Now()
-	prof := core.TrainFeed(cfg, feed, window, scheme)
-	sink.finish(time.Since(t0))
-	x.persistProfile(key, prof)
-	x.noteProfile(key, spec.Bench, "trained", time.Since(start))
-	return prof
 }
 
 // loadStored resolves a profile from the artifact store, replanning at
@@ -324,10 +294,13 @@ func (x *executor) persistProfile(key string, prof *core.Profile) {
 // stream (benchmark, input) train in a single multi-scheme pass
 // (core.TrainFeedBatch) that shares the phase-2 collection run and the
 // shake work across schemes, producing byte-identical artifacts to
-// spec-by-spec training. Specs already memoized, in flight, or stored
-// resolve as x.profile would; invalid specs (unknown benchmark or
-// scheme) are skipped so the per-job path surfaces their error.
-func (x *executor) profileBatch(specs []ProfileSpec) {
+// spec-by-spec training; a single spec trains through core.TrainFeed.
+// Stored specs load from the artifact store, specs already memoized or
+// in flight are left to their owner, and invalid specs (unknown
+// benchmark or scheme) are skipped so x.profile surfaces their error.
+// It returns how many specs this call claimed, all of which are
+// resolved on return.
+func (x *executor) profileBatch(specs []ProfileSpec) int {
 	type claim struct {
 		spec ProfileSpec
 		key  string
@@ -400,6 +373,7 @@ func (x *executor) profileBatch(specs []ProfileSpec) {
 			close(c.f.done)
 		}
 	}
+	return len(mine)
 }
 
 // Plan returns the edit plan of a profile at the job's delta (Runtime),
@@ -410,62 +384,4 @@ func (x *executor) Plan(prof *core.Profile, delta float64) *edit.Plan {
 		return prof.Plan
 	}
 	return core.Replan(prof, delta)
-}
-
-// execute runs one cache-missed job to completion: resolve the job
-// policy's declared dependencies — result dependencies through the
-// engine (cached and shared like any other job), profile dependencies
-// through the artifact layers — then let the policy build its outcome.
-func (x *executor) execute(job Job) (*Outcome, error) {
-	return x.executeKeyed("", job)
-}
-
-// executeKeyed is execute with the job's already-derived cache key, so
-// the sequential simulation span can be correlated to its job.
-func (x *executor) executeKeyed(key string, job Job) (*Outcome, error) {
-	if workload.ByName(job.Bench) == nil {
-		return nil, fmt.Errorf("unknown benchmark %q", job.Bench)
-	}
-	p, ok := PolicyByName(job.Policy)
-	if !ok {
-		return nil, fmt.Errorf("unknown policy %q", job.Policy)
-	}
-	deps := p.Deps(x.eng.Cfg, job)
-	resolved := make([]Resolved, len(deps))
-	for i, d := range deps {
-		if d.Profile != nil {
-			prof, err := x.profile(*d.Profile)
-			if err != nil {
-				return nil, err
-			}
-			resolved[i].Profile = prof
-		} else {
-			out, _, err := x.eng.Do(*d.Job)
-			if err != nil {
-				return nil, err
-			}
-			resolved[i].Outcome = out
-		}
-	}
-	start := time.Now()
-	out, err := p.Run(x, job, resolved)
-	d := time.Since(start)
-	e := x.eng
-	e.phases.simNS.Add(int64(d))
-	if tr := e.Trace; tr != nil {
-		outcome := "simulated"
-		if err != nil {
-			outcome = "error"
-		}
-		tr.Emit(obs.Span{
-			Key:     key,
-			Phase:   "simulate",
-			Policy:  job.Policy,
-			Bench:   job.Bench,
-			Outcome: outcome,
-			StartNS: tr.Now() - int64(d),
-			DurNS:   int64(d),
-		})
-	}
-	return out, err
 }

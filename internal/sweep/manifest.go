@@ -39,8 +39,9 @@ type Manifest struct {
 	// Configuration overrides; zero values keep core.DefaultConfig().
 	DeltaPct float64 `json:"delta_pct,omitempty"`
 	Seed     int64   `json:"seed,omitempty"`
-	// RecordingCache overrides the engine's recorded-stream cache bound
-	// (Engine.RecordingCache); 0 keeps the automatic sizing. It is an
+	// RecordingCache overrides how many decoded packed streams the
+	// engine holds in memory (Engine.RecordingCache); 0 keeps the
+	// automatic sizing. It is an
 	// execution knob, not part of the simulated configuration, so it
 	// never enters cache keys.
 	RecordingCache int `json:"recording_cache,omitempty"`

@@ -26,17 +26,19 @@ type Policy interface {
 	// onto the zero value and clears parameters it ignores, so
 	// semantically identical jobs share one cache key.
 	CanonicalJob(j Job, cfg core.Config) Job
-	// Deps declares the job's prerequisites in the order Run receives
-	// them resolved.
+	// Deps declares the job's prerequisites in the order OpenLane
+	// receives them resolved.
 	Deps(cfg core.Config, j Job) []Dep
 	// ShardAnchor names the dependency whose key decides which shard owns
 	// the job, or nil to place the job by its own key. The anchor may be
 	// a placement-only hint that Deps does not resolve (single-clock jobs
 	// place with the comparator chain that consumes them).
 	ShardAnchor(cfg core.Config, j Job) *Dep
-	// Run builds the job's outcome from its resolved dependencies,
-	// indexed like Deps' return.
-	Run(rt Runtime, j Job, deps []Resolved) (*Outcome, error)
+	// OpenLane prepares the job's production run from its resolved
+	// dependencies, indexed like Deps' return, without consuming any
+	// stream: the engine steps the lane through the benchmark's
+	// reference stream and then calls its Finish.
+	OpenLane(rt Runtime, j Job, deps []Resolved) (*Lane, error)
 }
 
 // Dep is one typed prerequisite: exactly one of Job or Profile is set.
@@ -84,7 +86,7 @@ type Resolved struct {
 	Profile *core.Profile
 }
 
-// Runtime is what a policy's Run may use to build its outcome: the
+// Runtime is what a policy's OpenLane may use to build its lane: the
 // engine configuration, replayable benchmark streams, and replanning of
 // trained profiles at job-level deltas.
 type Runtime interface {
@@ -102,39 +104,19 @@ type Runtime interface {
 // Lane is one job's production simulation opened for streaming: the
 // consumer that eats the benchmark's reference stream, the instruction
 // budget it runs under, and the finalization that builds the outcome.
-// Splitting a policy run this way lets the batch executor drive many
-// jobs' lanes from one lockstep replay of the shared decoded stream
-// (isa.PackedStream.FeedLockstep); a sequential Feed through the same
-// consumer computes the identical outcome.
+// Every job executes as a lane: the engine drives all of a lockstep
+// unit's lanes from one replay of the shared decoded stream
+// (isa.PackedStream.FeedLockstep), and a job resolved on its own is a
+// unit of one lane.
 type Lane struct {
 	Consumer isa.Consumer
 	Budget   int64
 	Finish   func() (*Outcome, error)
 }
 
-// LanePolicy is a Policy whose production run is one budgeted pass over
-// the benchmark's reference stream, split into open/stream/finish so
-// the engine can batch it. All built-in policies implement it; a policy
-// that does not is always executed sequentially via Run.
-type LanePolicy interface {
-	Policy
-	// OpenLane prepares the job's simulation from its resolved
-	// dependencies without consuming any stream.
-	OpenLane(rt Runtime, j Job, deps []Resolved) (*Lane, error)
-}
-
-// runLane executes a lane policy sequentially: open, feed the reference
-// stream under the lane's budget, finish. Policies implement Run with
-// it so the sequential and batched paths share one lane construction.
-func runLane(p LanePolicy, rt Runtime, j Job, deps []Resolved) (*Outcome, error) {
-	ln, err := p.OpenLane(rt, j, deps)
-	if err != nil {
-		return nil, err
-	}
-	b := workload.ByName(j.Bench)
-	rt.Feeder(b, true).Feed(&isa.CountingConsumer{Inner: ln.Consumer, Budget: ln.Budget})
-	return ln.Finish()
-}
+// LanePolicy is another name for Policy, kept for callers that assert
+// it: every policy opens lanes.
+type LanePolicy = Policy
 
 // policies is the registry, in registration order (which Policies()
 // exposes as the canonical policy order).
