@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet staticcheck test race bench-smoke bench-selftest perf perf-gate ci clean
+.PHONY: all build fmt-check vet staticcheck test race fuzz bench-smoke bench-selftest perf perf-gate ci clean
 
 all: build
 
@@ -37,6 +37,18 @@ test:
 race:
 	$(GO) test -race -timeout 1800s ./...
 
+# Run each native fuzz target for 10s beyond its checked-in seed corpus
+# (testdata/fuzz/<target>). go test -fuzz takes one target per
+# invocation, so the targets run one after another.
+FUZZ_TARGETS = ./internal/isa:FuzzProgramCount ./internal/isa:FuzzDecodePacked
+
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t#*:}; \
+		echo "fuzz $$name ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s $$pkg || exit 1; \
+	done
+
 # Short benchmark smoke run: one iteration of a headline figure on the
 # small 5-benchmark subset plus the simulator throughput microbenchmark.
 # Set MCD_SWEEP_CACHE to a directory to serve warm jobs from the sweep
@@ -63,7 +75,7 @@ perf:
 perf-gate:
 	$(GO) run ./cmd/mcdperf -scenarios bench-smoke -compare perf/baseline.json -threshold 0.15
 
-ci: fmt-check vet staticcheck build bench-selftest race bench-smoke
+ci: fmt-check vet staticcheck build bench-selftest fuzz race bench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -41,6 +41,13 @@ func seedFor(name string, in Input) int64 {
 // feeding instructions and markers to c until the walk completes or c
 // asks to stop. Generation is deterministic for a given (program name,
 // input name, input seed).
+//
+// Control flow is a function of the Input alone: block sizes, loop trip
+// counts and call predicates read only the Input, while the random draws
+// decide each instruction's class, operands, address and branch outcome,
+// never how many instructions a block, loop or call produces. A complete
+// walk therefore emits exactly Count(in) instructions; the workload
+// suite's TestCountMatchesWalk fails if a generator change breaks this.
 func (p *Program) Walk(in Input, c Consumer) {
 	if in.Scale == 0 {
 		in.Scale = 1
@@ -95,14 +102,7 @@ func (w *walker) body(nodes []Node) {
 }
 
 func (w *walker) loop(l *Loop) {
-	var trips int
-	if l.TripsBySeq != nil {
-		seq := w.loopSeq[l]
-		w.loopSeq[l] = seq + 1
-		trips = l.TripsBySeq(w.in, seq)
-	} else {
-		trips = l.Trips(w.in)
-	}
+	trips := l.trips(w.in, w.loopSeq)
 	if trips < 1 {
 		return
 	}

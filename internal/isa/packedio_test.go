@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -125,4 +126,35 @@ func TestPackedCodecRejectsBadContent(t *testing.T) {
 	if _, err := DecodePacked(reseal(bad)); err == nil {
 		t.Error("absurd instruction count decoded successfully")
 	}
+}
+
+// FuzzDecodePacked: any input either fails DecodePacked with an error or
+// decodes to a stream that re-encodes to exactly the input, and decoding
+// never panics or allocates more than a constant multiple of the input
+// length. The harness re-stamps the CRC32 trailer over the (mutated)
+// body so inputs get past the checksum to the section parser. The seed
+// corpus is EncodePacked output of small streams with markers and a
+// Reconfig freqs entry.
+func FuzzDecodePacked(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 4 {
+			body := data[:len(data)-4]
+			data = binary.LittleEndian.AppendUint32(bytes.Clone(body), crc32.ChecksumIEEE(body))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := DecodePacked(data)
+		runtime.ReadMemStats(&after)
+		// The slack covers the allocator charging whole small-object
+		// spans to TotalAlloc when it hands them out.
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, 16*uint64(len(data))+1<<20; alloc > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), alloc, limit)
+		}
+		if err != nil {
+			return
+		}
+		if enc := EncodePacked(s); !bytes.Equal(enc, data) {
+			t.Fatalf("decoded stream re-encodes to %d different bytes (input %d bytes)", len(enc), len(data))
+		}
+	})
 }

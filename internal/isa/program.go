@@ -39,7 +39,10 @@ type Node interface{ node() }
 // Block emits N instructions drawn from Mix. If NBy is set it overrides N
 // per input, letting a block's dynamic size differ between training and
 // reference runs (how some paper benchmarks change which nodes qualify as
-// long-running between input sets).
+// long-running between input sets). Control flow is a function of the
+// Input alone: the size reads only the Input (a size below 1 emits
+// nothing), and the Mix draws fill in instructions without changing
+// how many there are.
 type Block struct {
 	Mix *Mix
 	N   int
@@ -64,7 +67,10 @@ func (*Block) node() {}
 // control-flow graph. If TripsBySeq is set it overrides Trips and also
 // receives the zero-based count of the loop's earlier dynamic instances
 // in this walk, modeling code whose behaviour differs per invocation
-// (e.g. epic encode's internal_filter, paper Section 4.2).
+// (e.g. epic encode's internal_filter, paper Section 4.2). Control flow
+// is a function of the Input alone: the trip count reads only the Input
+// and, for TripsBySeq, the instance number. A count below 1 skips the
+// loop but still consumes a TripsBySeq instance.
 type Loop struct {
 	ID         int32
 	Body       []Node
@@ -75,6 +81,18 @@ type Loop struct {
 }
 
 func (*Loop) node() {}
+
+// trips resolves one dynamic instance's trip count. seqs holds the
+// walk's per-loop instance counters; a TripsBySeq loop consumes one
+// instance whatever its trip count.
+func (l *Loop) trips(in Input, seqs map[*Loop]int) int {
+	if l.TripsBySeq == nil {
+		return l.Trips(in)
+	}
+	seq := seqs[l]
+	seqs[l] = seq + 1
+	return l.TripsBySeq(in, seq)
+}
 
 // Call transfers control to Target from a specific static call site.
 // When, if non-nil, gates the call on the input set, modeling code paths
@@ -103,6 +121,52 @@ type Program struct {
 	numLoops int32
 	numSites int32
 	nextPC   uint32
+}
+
+// Count returns the number of instructions Walk emits under an input,
+// without generating them. Because control flow is a function of the
+// Input alone (see Walk), the count follows from program structure: a
+// Block adds its size, a Call whose predicate is false adds nothing,
+// and a Loop adds its body plus one back-edge branch per trip. Loop
+// instances are visited in walk order so TripsBySeq sees the same
+// sequence numbers the walk does.
+func (p *Program) Count(in Input) int64 {
+	if in.Scale == 0 {
+		in.Scale = 1
+	}
+	c := &counter{in: in, loopSeq: make(map[*Loop]int)}
+	return c.body(p.Main.Body)
+}
+
+// counter mirrors walker's control flow, emitting nothing.
+type counter struct {
+	in      Input
+	loopSeq map[*Loop]int
+}
+
+func (c *counter) body(nodes []Node) int64 {
+	var n int64
+	for _, nd := range nodes {
+		switch nd := nd.(type) {
+		case *Block:
+			n += int64(max(nd.Size(c.in), 0))
+		case *Loop:
+			n += c.loop(nd)
+		case *Call:
+			if nd.When == nil || nd.When(c.in) {
+				n += c.body(nd.Target.Body)
+			}
+		}
+	}
+	return n
+}
+
+func (c *counter) loop(l *Loop) int64 {
+	var n int64
+	for t, trips := 0, l.trips(c.in, c.loopSeq); t < trips; t++ {
+		n += c.body(l.Body) + 1 // body, then the back-edge branch
+	}
+	return n
 }
 
 // NumSubs returns the number of static subroutines.

@@ -1,7 +1,8 @@
 // Package perf is the repository's benchmark harness: it runs named
 // performance scenarios over the simulation pipeline, emits
-// machine-readable reports (BENCH_PR<N>.json), and compares runs against
-// a committed baseline with a noise-tolerant threshold so CI can gate on
+// machine-readable reports (perf/trajectory.json keeps each PR's
+// report, keyed by PR number), and compares runs against a committed
+// baseline with a noise-tolerant threshold so CI can gate on
 // performance regressions. Scenarios are deterministic in their simulated
 // work (instruction counts never vary between runs on any machine); only
 // wall-clock and allocation metrics move, and those are what the

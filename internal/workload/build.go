@@ -9,7 +9,8 @@ import (
 )
 
 // Benchmark is one ready-to-run workload: a program plus its training
-// and reference inputs and simulation windows.
+// and reference inputs and simulation windows. Each window is the
+// complete walk of its input, sized by isa.Program.Count.
 type Benchmark struct {
 	Spec        Spec
 	Prog        *isa.Program
@@ -222,8 +223,8 @@ func Build(spec Spec) *Benchmark {
 		Train: isa.Input{Name: "train", Scale: spec.TrainScale, Seed: 7},
 		Ref:   isa.Input{Name: "ref", Scale: spec.RefScale, Seed: 11},
 	}
-	bench.TrainWindow = countInstrs(prog, bench.Train)
-	bench.RefWindow = countInstrs(prog, bench.Ref)
+	bench.TrainWindow = prog.Count(bench.Train)
+	bench.RefWindow = prog.Count(bench.Ref)
 	return bench
 }
 
@@ -387,18 +388,6 @@ func (w *builder) buildArtCore(remaining map[category]int) {
 	w.b.SetBody(match, w.leafBlock(catBothLR), outer)
 	w.parents[0].body = append(w.parents[0].body, w.b.Call(match))
 }
-
-// countInstrs measures the complete dynamic instruction count of a walk.
-func countInstrs(p *isa.Program, in isa.Input) int64 {
-	var c counter
-	p.Walk(in, &c)
-	return c.n
-}
-
-type counter struct{ n int64 }
-
-func (c *counter) Instr(*isa.Instr) bool  { c.n++; return true }
-func (c *counter) Marker(isa.Marker) bool { return true }
 
 func min(a, b int) int {
 	if a < b {
