@@ -40,7 +40,8 @@ race:
 # Run each native fuzz target for 10s beyond its checked-in seed corpus
 # (testdata/fuzz/<target>). go test -fuzz takes one target per
 # invocation, so the targets run one after another.
-FUZZ_TARGETS = ./internal/isa:FuzzProgramCount ./internal/isa:FuzzDecodePacked
+FUZZ_TARGETS = ./internal/isa:FuzzProgramCount ./internal/isa:FuzzDecodePacked \
+	./internal/core:FuzzDecodeProfile ./internal/sweep:FuzzParseManifest
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

@@ -2,7 +2,10 @@
 // piecewise-constant frequency schedule built from DVFS ramp plans, clock
 // edge arithmetic on a picosecond timeline, and the inter-domain
 // synchronization circuit of Sjogren and Myers as used by Semeraro et al.,
-// including jitter-induced randomization.
+// including jitter-induced randomization. Jitter depends only on the
+// seed and the jitter magnitude, so its draws are made once per process
+// into a shared tape that every synchronizer with the same pair reads
+// (see jitterTape) rather than once per machine.
 package clock
 
 import (
@@ -42,6 +45,8 @@ type Schedule struct {
 	tailPeriod int64   // its period; 0 = cache invalid
 	tailEdge   int64   // the last edge NextEdge returned inside it
 	tailVolts  float64 // matched supply voltage of the final segment
+
+	ramp []dvfs.Change // SetTarget's reusable ramp plan
 }
 
 // dropTailCache invalidates the final-segment edge cache; callers must
@@ -224,7 +229,12 @@ func (s *Schedule) SetTarget(now int64, mhz int) {
 	if cur == mhz {
 		return
 	}
-	for _, ch := range s.scale.PlanRamp(cur, mhz, now) {
+	if s.ramp == nil {
+		// Room for the longest ramp, so planning never allocates again.
+		s.ramp = make([]dvfs.Change, 0, s.scale.NumSteps())
+	}
+	s.ramp = s.scale.AppendRamp(s.ramp[:0], cur, mhz, now)
+	for _, ch := range s.ramp {
 		s.segs = append(s.segs, Segment{Start: ch.At, PeriodPs: dvfs.PeriodPs(ch.MHz), MHz: ch.MHz})
 	}
 }

@@ -28,10 +28,21 @@ func DefaultSyncConfig() SyncConfig {
 }
 
 // Synchronizer applies the synchronization circuit model to values
-// crossing between clock domains. It is deterministic for a given seed.
+// crossing between clock domains. It is deterministic for a given seed:
+// the k-th crossing's jitter is the k-th draw of xrand.New(seed), read
+// from the process-wide jitter tape that every synchronizer with the
+// same seed and JitterPs shares (see jitterTape). Past the tape's end
+// the synchronizer continues the same draws on a private generator.
 type Synchronizer struct {
 	cfg SyncConfig
-	rng *xrand.Rand
+	// tape serves the jitter draws; next is the index of the next draw
+	// and avail the tape prefix this synchronizer knows to be
+	// published. Once next passes the end of a sealed tape, tape is nil
+	// and rng continues the draws.
+	tape  *jitterTape
+	next  int64
+	avail int64
+	rng   xrand.Rand
 
 	// Crossings counts domain-boundary transfers; Penalties counts those
 	// that paid the extra consumer cycle.
@@ -46,9 +57,36 @@ type Synchronizer struct {
 }
 
 // NewSynchronizer returns a synchronizer with the given configuration and
-// deterministic seed.
+// deterministic seed. It attaches to the process's jitter tape for
+// (seed, cfg.JitterPs), creating the tape if needed; a disabled
+// synchronizer draws nothing and takes no tape.
 func NewSynchronizer(cfg SyncConfig, seed int64) *Synchronizer {
-	return &Synchronizer{cfg: cfg, rng: xrand.New(seed)}
+	if cfg.Disabled {
+		return &Synchronizer{cfg: cfg}
+	}
+	return newSynchronizerOn(cfg, tapeFor(seed, cfg.JitterPs))
+}
+
+func newSynchronizerOn(cfg SyncConfig, t *jitterTape) *Synchronizer {
+	return &Synchronizer{cfg: cfg, tape: t}
+}
+
+// jitter returns the synchronizer's next jitter draw.
+func (s *Synchronizer) jitter() int64 {
+	k := s.next
+	s.next++
+	if k < s.avail {
+		return int64(s.tape.vals[k])
+	}
+	if s.tape == nil {
+		return drawJitter(&s.rng, s.cfg.JitterPs)
+	}
+	if s.avail = s.tape.extend(k); k < s.avail {
+		return int64(s.tape.vals[k])
+	}
+	v := s.tape.handOff(&s.rng)
+	s.tape = nil
+	return v
 }
 
 // Cross returns the time at which a value produced at time t in the
@@ -82,8 +120,7 @@ func (s *Synchronizer) Cross(t int64, prod, cons *Schedule) int64 {
 	}
 	// Jitter shifts both edges; the net effect on the gap is the
 	// difference of two independent normal draws.
-	jitter := int64((s.rng.NormFloat64() - s.rng.NormFloat64()) * s.cfg.JitterPs / 2)
-	if gap+jitter < window {
+	if gap+s.jitter() < window {
 		s.Penalties++
 		return cons.NextEdge(edge)
 	}

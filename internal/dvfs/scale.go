@@ -115,30 +115,30 @@ func (s Scale) VoltageFor(mhz int) float64 {
 	return s.VMin + frac*(s.VMax-s.VMin)
 }
 
-// PlanRamp returns the sequence of effective-frequency changes for a
-// ramp from fromMHz to toMHz beginning at start, one ladder notch at a
-// time at the scale's ramp speed. Both endpoints must be ladder points.
-func (s Scale) PlanRamp(fromMHz, toMHz int, start int64) []Change {
+// AppendRamp appends to dst the sequence of effective-frequency changes
+// for a ramp from fromMHz to toMHz beginning at start, one ladder notch
+// at a time at the scale's ramp speed, and returns the extended slice;
+// a caller that plans ramps repeatedly reuses one buffer. Both
+// endpoints must be ladder points.
+func (s Scale) AppendRamp(dst []Change, fromMHz, toMHz int, start int64) []Change {
 	s.mustLadder(fromMHz)
 	s.mustLadder(toMHz)
 	if fromMHz == toMHz {
-		return nil
+		return dst
 	}
 	dir := s.StepMHz
 	if toMHz < fromMHz {
 		dir = -s.StepMHz
 	}
-	n := (toMHz - fromMHz) / dir
-	changes := make([]Change, 0, n)
 	t := start
 	for f := fromMHz + dir; ; f += dir {
 		t += int64(s.StepMHz) * s.RampPsPerMHz
-		changes = append(changes, Change{At: t, MHz: f})
+		dst = append(dst, Change{At: t, MHz: f})
 		if f == toMHz {
 			break
 		}
 	}
-	return changes
+	return dst
 }
 
 // mustLadder panics if mhz is not a ladder point of the scale.

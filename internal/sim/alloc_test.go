@@ -6,54 +6,6 @@ import (
 	"repro/internal/isa"
 )
 
-// collect captures the first n instructions of a program walk.
-func collect(prog *isa.Program, in isa.Input, n int) []isa.Instr {
-	c := &collectConsumer{want: n}
-	prog.Walk(in, c)
-	return c.instrs
-}
-
-type collectConsumer struct {
-	instrs []isa.Instr
-	want   int
-}
-
-func (c *collectConsumer) Instr(ins *isa.Instr) bool {
-	c.instrs = append(c.instrs, *ins)
-	return len(c.instrs) < c.want
-}
-
-func (c *collectConsumer) Marker(isa.Marker) bool { return true }
-
-// TestSteadyStateAllocFree locks in the hot-path invariant: once the
-// machine's issue queues have grown to capacity, simulating an
-// instruction performs zero heap allocations. A regression here turns
-// every sweep into GC churn, so it is tier-1.
-func TestSteadyStateAllocFree(t *testing.T) {
-	b := isa.NewBuilder("allocfree")
-	main := b.Subroutine("main")
-	b.SetBody(main, b.Block(isa.Balanced, 100_000))
-	prog := b.Finish(main)
-	instrs := collect(prog, isa.Input{Name: "train"}, 80_000)
-
-	m := New(DefaultConfig())
-	// Warm up: grow the issue queues and ring state to steady state.
-	next := 0
-	for ; next < 50_000; next++ {
-		m.Instr(&instrs[next])
-	}
-	const batch = 2_000
-	got := testing.AllocsPerRun(5, func() {
-		for j := 0; j < batch; j++ {
-			m.Instr(&instrs[next])
-			next++
-		}
-	})
-	if got > 0 {
-		t.Fatalf("steady-state Machine loop allocates %.1f times per %d instructions; want 0", got, batch)
-	}
-}
-
 // TestSetTracerTypedNil verifies that detaching observers with a typed
 // nil restores the no-dispatch fast path instead of leaving a non-nil
 // interface wrapping a nil pointer (which would panic on first use).

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 
 	"repro/internal/arch"
@@ -131,8 +132,7 @@ type Machine struct {
 	robIdx int
 
 	// Issue queues: outstanding issue times per execution cluster.
-	iq    [numClusters][]int64
-	iqCap [numClusters]int
+	iq [numClusters]issueQueue
 
 	// Functional units: next-free time per unit.
 	intALU []int64
@@ -199,10 +199,10 @@ func New(cfg Config) *Machine {
 		}
 		m.clk[d] = clock.NewScaled(topo.Spec(arch.Domain(d)).Scale(), cfg.BaseMHz, phase)
 	}
-	m.iqCap = [numClusters]int{
-		clInt: cfg.IQInt,
-		clFP:  cfg.IQFP,
-		clLS:  cfg.IQLS,
+	m.iq = [numClusters]issueQueue{
+		clInt: newIssueQueue(cfg.IQInt),
+		clFP:  newIssueQueue(cfg.IQFP),
+		clLS:  newIssueQueue(cfg.IQLS),
 	}
 	m.intALU = make([]int64, cfg.IntALUs)
 	m.intMul = make([]int64, cfg.IntMuls)
@@ -529,7 +529,7 @@ func (m *Machine) Instr(ins *isa.Instr) bool {
 	if m.ctrl != nil {
 		c := &m.ctrlCnt[dom]
 		c.issued++
-		c.queueSum += int64(len(m.iq[cl]))
+		c.queueSum += int64(m.iq[cl].n)
 		st := m.serviceTime(ins, t)
 		if t.MemLevel >= 1 && m.l2Dom != dom {
 			// The L2 portion of a load's service time is work done in
@@ -615,53 +615,81 @@ func (m *Machine) applyReconfig(ins *isa.Instr, now int64) {
 }
 
 // iqAdmit delays t until the execution cluster's issue queue has a free
-// entry, then records the (not yet known) entry; the caller fills in the
-// issue time via fuIssue.
+// entry; the caller records the entry's issue time via fuIssue.
 //
-// Pruning of already-issued entries is lazy: the queue is only swept
-// when it looks full, because admission decisions cannot change while
-// live occupancy is below capacity. When a controller is attached the
-// sweep runs every instruction instead — the controller samples queue
-// occupancy after each dispatch, and stale entries would skew it. The
-// sweep is a branch-friendly sequential compaction; an earlier min-heap
-// variant benchmarked measurably slower on these tiny queues.
+// Entries that have issued by t are pruned only when the queue looks
+// full, because admission cannot change while occupancy is below
+// capacity. When a controller is attached they are pruned on every
+// instruction instead: the controller samples queue occupancy after
+// each dispatch, and stale entries would skew it. The queue is kept
+// sorted, so a prune pops from the front and the earliest entry is the
+// front.
 func (m *Machine) iqAdmit(cl int, t int64) int64 {
-	capQ := m.iqCap[cl]
-	q := m.iq[cl]
-	if m.ctrl != nil {
-		// Prune entries that have issued by time t.
-		q = pruneQueue(q, t)
+	q := &m.iq[cl]
+	if m.ctrl != nil || q.full() {
+		q.prune(t)
 	}
-	if len(q) >= capQ {
-		q = pruneQueue(q, t)
-		for len(q) >= capQ {
-			// Wait until the earliest outstanding entry issues.
-			earliest := q[0]
-			for _, e := range q {
-				if e < earliest {
-					earliest = e
-				}
-			}
-			if earliest > t {
-				t = earliest
-			}
-			q = pruneQueue(q, t)
-		}
+	for q.full() {
+		// Wait until the earliest outstanding entry issues; after the
+		// prune every entry is later than t.
+		t = q.front()
+		q.prune(t)
 	}
-	m.iq[cl] = q
 	return t
 }
 
-// pruneQueue removes entries with issue time <= t.
-func pruneQueue(q []int64, t int64) []int64 {
-	n := 0
-	for _, e := range q {
-		if e > t {
-			q[n] = e
-			n++
-		}
+// issueQueue holds one cluster's outstanding issue times in ascending
+// order, in a power-of-two ring sized for the queue's capacity.
+// Admission keeps at most that many entries, so the ring never wraps
+// onto itself and never grows.
+type issueQueue struct {
+	buf      []int64
+	head     int
+	n        int
+	capacity int
+}
+
+func newIssueQueue(capacity int) issueQueue {
+	if capacity < 1 {
+		panic(fmt.Sprintf("sim: issue queue capacity %d, want at least 1", capacity))
 	}
-	return q[:n]
+	size := 1
+	for size < capacity {
+		size <<= 1
+	}
+	return issueQueue{buf: make([]int64, size), capacity: capacity}
+}
+
+// full reports whether the queue holds its capacity of entries.
+func (q *issueQueue) full() bool { return q.n >= q.capacity }
+
+// front returns the earliest outstanding issue time; the queue must be
+// non-empty.
+func (q *issueQueue) front() int64 { return q.buf[q.head] }
+
+// prune removes the entries with issue time <= t.
+func (q *issueQueue) prune(t int64) {
+	mask := len(q.buf) - 1
+	for q.n > 0 && q.buf[q.head] <= t {
+		q.head = (q.head + 1) & mask
+		q.n--
+	}
+}
+
+// insert adds an issue time, shifting later entries back one slot.
+// Issue times arrive nearly in order, so the shift is usually empty.
+func (q *issueQueue) insert(t int64) {
+	mask := len(q.buf) - 1
+	i := q.head + q.n
+	for ; i > q.head; i-- {
+		prev := q.buf[(i-1)&mask]
+		if prev <= t {
+			break
+		}
+		q.buf[i&mask] = prev
+	}
+	q.buf[i&mask] = t
+	q.n++
 }
 
 // fuIssue selects the earliest-available unit, aligns issue to the
@@ -681,7 +709,7 @@ func (m *Machine) fuIssue(cl int, units []int64, dclk *clock.Schedule, ready int
 	issue := dclk.NextEdge(start - 1)
 	units[best] = dclk.Advance(issue, occ)
 	// Record IQ residency: the entry leaves the queue at issue.
-	m.iq[cl] = append(m.iq[cl], issue)
+	m.iq[cl].insert(issue)
 	return issue
 }
 
