@@ -3,7 +3,6 @@ package clock
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/xrand"
 )
@@ -32,18 +31,20 @@ const (
 //
 //	int64((n[2k] - n[2k+1]) * JitterPs / 2)
 //
-// where n is the NormFloat64 sequence of xrand.New(seed). The prefix of
-// length n is immutable once published, so readers never lock. The tape
-// ends at its capacity or at the first entry that does not fit int16;
-// the entry at the end is kept as tail, and rest is the generator state
-// right after drawing it, from which every later entry follows exactly.
+// where n is the NormFloat64 sequence of xrand.New(seed). The published
+// prefix is immutable: a synchronizer caches the length extend returned
+// and locks again only when it passes that prefix, which on a warm tape
+// is once. The tape ends at its capacity or at the first entry that
+// does not fit int16; the entry at the end is kept as tail, and rest is
+// the generator state right after drawing it, from which every later
+// entry follows exactly.
 type jitterTape struct {
 	seed     int64
 	jitterPs float64
-	vals     []int16 // capacity entries, reserved up front (tapeStore)
-	n        atomic.Int64
+	vals     []int16 // capacity entries, allocated with the tape
 
 	mu     sync.Mutex
+	n      int64      // published prefix length
 	rng    xrand.Rand // state after drawing the published prefix
 	sealed bool
 	tail   int64
@@ -51,10 +52,7 @@ type jitterTape struct {
 }
 
 func newJitterTape(seed int64, jitterPs float64, capacity int) *jitterTape {
-	t := &jitterTape{seed: seed, jitterPs: jitterPs}
-	t.vals = tapeStore(t, capacity)
-	t.rng = *xrand.New(seed)
-	return t
+	return &jitterTape{seed: seed, jitterPs: jitterPs, vals: make([]int16, capacity), rng: *xrand.New(seed)}
 }
 
 // draw returns the next jitter value of the tape's generator.
@@ -72,7 +70,7 @@ func drawJitter(r *xrand.Rand, jitterPs float64) int64 {
 func (t *jitterTape) extend(k int64) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.n.Load()
+	n := t.n
 	for n <= k && !t.sealed {
 		end := min(n+tapeBlock, int64(len(t.vals)))
 		for ; n < end; n++ {
@@ -86,7 +84,7 @@ func (t *jitterTape) extend(k int64) int64 {
 		if n == int64(len(t.vals)) && !t.sealed {
 			t.seal(t.draw())
 		}
-		t.n.Store(n)
+		t.n = n
 	}
 	return n
 }

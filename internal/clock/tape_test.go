@@ -27,6 +27,13 @@ func readJitter(t *jitterTape, jitterPs float64, n int) []int64 {
 	return out
 }
 
+// published returns the tape's published length and whether it is sealed.
+func published(t *jitterTape) (int64, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n, t.sealed
+}
+
 func sameDraws(t *testing.T, got, want []int64) {
 	t.Helper()
 	for i := range want {
@@ -42,7 +49,7 @@ func TestJitterTapeMatchesDraws(t *testing.T) {
 	want := refJitter(seed, jitter, n)
 	tp := newJitterTape(seed, jitter, tapeCap)
 	sameDraws(t, readJitter(tp, jitter, n), want)
-	if got := tp.n.Load(); got != 4*tapeBlock {
+	if got, _ := published(tp); got != 4*tapeBlock {
 		t.Fatalf("published %d entries, want %d (four blocks)", got, 4*tapeBlock)
 	}
 	// A second reader of the now warm tape sees the same draws.
@@ -56,8 +63,8 @@ func TestJitterTapePastCapacity(t *testing.T) {
 		want := refJitter(seed, jitter, n)
 		tp := newJitterTape(seed, jitter, capacity)
 		sameDraws(t, readJitter(tp, jitter, n), want)
-		if !tp.sealed || tp.n.Load() != int64(capacity) {
-			t.Fatalf("capacity %d: sealed=%v at %d", capacity, tp.sealed, tp.n.Load())
+		if end, sealed := published(tp); !sealed || end != int64(capacity) {
+			t.Fatalf("capacity %d: sealed=%v at %d", capacity, sealed, end)
 		}
 		// A reader arriving after the seal takes the same hand-off.
 		sameDraws(t, readJitter(tp, jitter, n), want)
@@ -72,9 +79,9 @@ func TestJitterTapeUnrepresentable(t *testing.T) {
 	want := refJitter(seed, jitter, n)
 	tp := newJitterTape(seed, jitter, tapeCap)
 	sameDraws(t, readJitter(tp, jitter, n), want)
-	end := tp.n.Load()
-	if !tp.sealed || end == 0 || end >= int64(n) {
-		t.Fatalf("sealed=%v at %d; want a seal inside the first %d draws", tp.sealed, end, n)
+	end, sealed := published(tp)
+	if !sealed || end == 0 || end >= int64(n) {
+		t.Fatalf("sealed=%v at %d; want a seal inside the first %d draws", sealed, end, n)
 	}
 	if v := want[end]; v == int64(int16(v)) {
 		t.Fatalf("tape sealed at %d on representable value %d", end, v)
