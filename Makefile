@@ -41,7 +41,8 @@ race:
 # (testdata/fuzz/<target>). go test -fuzz takes one target per
 # invocation, so the targets run one after another.
 FUZZ_TARGETS = ./internal/isa:FuzzProgramCount ./internal/isa:FuzzDecodePacked \
-	./internal/core:FuzzDecodeProfile ./internal/sweep:FuzzParseManifest
+	./internal/core:FuzzDecodeProfile ./internal/sweep:FuzzParseManifest \
+	./internal/sweep:FuzzStoreEntry ./internal/sweep:FuzzDecodeSegmentRows
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

@@ -78,6 +78,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/store"
 	"repro/internal/sweep"
 )
 
@@ -364,28 +365,19 @@ func runRemote(server, manifestPath string, m *sweep.Manifest, verbose bool) {
 
 // writeTrace dumps a run's spans as NDJSON, terminated by a
 // {"done":true,...} accounting line (readers skip it: spans are the
-// lines with a phase). Written through a temp file + rename so an
-// interrupted dump never leaves a truncated trace behind.
+// lines with a phase). Written atomically so an interrupted dump never
+// leaves a truncated trace behind.
 func writeTrace(path string, tr *obs.Tracer) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
+	var dropped uint64
+	err := store.WriteFile(path, func(w io.Writer) error {
+		next, d, err := tr.WriteNDJSON(w, 0)
+		if err == nil {
+			_, err = fmt.Fprintf(w, "{\"done\":true,\"spans\":%d,\"dropped\":%d}\n", next-d, d)
+		}
+		dropped = d
 		return err
-	}
-	next, dropped, err := tr.WriteNDJSON(tmp, 0)
-	if err == nil {
-		_, err = fmt.Fprintf(tmp, "{\"done\":true,\"spans\":%d,\"dropped\":%d}\n", next-dropped, dropped)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Chmod(tmp.Name(), 0o644)
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
+	})
 	if err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("trace: %w", err)
 	}
 	if dropped > 0 {
@@ -464,36 +456,14 @@ func writeMergeOutput(out string, b []byte) {
 	}
 }
 
-// streamMerge writes the streaming merge to stdout or, for -o, through
-// a temp file + rename so a mid-stream failure never leaves a partial
-// output file behind.
+// streamMerge writes the streaming merge to stdout or, for -o,
+// atomically so a mid-stream failure never leaves a partial output file
+// behind.
 func streamMerge(out string, cfg core.Config, jobs []sweep.Job, src sweep.MergeSource) error {
 	if out == "" {
 		return sweep.MergeTo(os.Stdout, cfg, jobs, src)
 	}
-	dir := filepath.Dir(out)
-	tmp, err := os.CreateTemp(dir, filepath.Base(out)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if err := sweep.MergeTo(tmp, cfg, jobs, src); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), out); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return store.WriteFile(out, func(w io.Writer) error { return sweep.MergeTo(w, cfg, jobs, src) })
 }
 
 func usage() {

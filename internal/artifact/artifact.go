@@ -1,9 +1,9 @@
 // Package artifact implements a content-addressed, schema-versioned
 // on-disk store for intermediate pipeline products — trained profiles
 // (call trees plus shaken per-domain frequency histograms) today, with
-// room for other stage outputs. It shares the sweep result cache's
-// discipline: one JSON file per key under a two-character fan-out
-// directory, written atomically (temp file + rename) so concurrent
+// room for other stage outputs. It sits on the same blob layer as the
+// sweep result cache (internal/store): one JSON file per key under a
+// two-character fan-out directory, written atomically so concurrent
 // shards and machines can share one store, and corrupt or mismatched
 // entries are reported as such and rewritten by the next producer.
 //
@@ -20,16 +20,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
+	"io"
 	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/control"
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // SchemaVersion versions both the key derivation and the payload
@@ -72,19 +70,12 @@ func ProfileKey(cfg core.Config, bench, scheme, input string, window int64) stri
 	return hex.EncodeToString(sum[:])
 }
 
-// Status classifies the outcome of a store lookup.
-type Status int
+// Status is the store layer's lookup status; the alias and Hit keep
+// the names the repository benchmark compiles against.
+type Status = store.Status
 
-const (
-	// Miss means no entry exists under the key.
-	Miss Status = iota
-	// Hit means a valid entry was loaded.
-	Hit
-	// Corrupt means an entry exists but is unreadable, syntactically
-	// invalid, schema-stale, or stored under a mismatched key — the
-	// caller should treat it as a miss and surface the damage.
-	Corrupt
-)
+// Hit is store.Hit.
+const Hit = store.Hit
 
 // Store is the on-disk artifact store rooted at Dir.
 type Store struct {
@@ -105,44 +96,46 @@ type entry struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// EntryPath returns the path an artifact is stored at.
-func (s *Store) EntryPath(key string) string {
-	return filepath.Join(s.Dir, key[:2], key+".json")
-}
+// EntryPath returns the path an artifact is stored at, or an error for
+// a malformed key.
+func (s *Store) EntryPath(key string) (string, error) { return store.Path(s.Dir, key, ".json") }
 
 // Load returns the payload stored under key for the given kind, with a
-// status distinguishing absent entries from damaged ones.
+// status distinguishing absent entries from damaged ones (unreadable,
+// syntactically invalid, schema-stale, or stored under a mismatched
+// key).
 func (s *Store) Load(key, kind string) (json.RawMessage, Status) {
 	payload, status := s.load(key, kind)
 	s.loads.Add(1)
-	if status == Hit {
+	if status == store.Hit {
 		s.hits.Add(1)
 	}
 	return payload, status
 }
 
 func (s *Store) load(key, kind string) (json.RawMessage, Status) {
-	b, err := os.ReadFile(s.EntryPath(key))
+	path, err := s.EntryPath(key)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, Miss
-		}
-		return nil, Corrupt
+		return nil, store.Corrupt
+	}
+	b, status := store.Read(path)
+	if status != store.Hit {
+		return nil, status
 	}
 	var e entry
 	if err := json.Unmarshal(b, &e); err != nil {
-		return nil, Corrupt
+		return nil, store.Corrupt
 	}
 	if e.Schema != SchemaVersion || e.Key != key || e.Kind != kind || len(e.Payload) == 0 {
-		return nil, Corrupt
+		return nil, store.Corrupt
 	}
-	return e.Payload, Hit
+	return e.Payload, store.Hit
 }
 
 // Put atomically persists a payload under key.
 func (s *Store) Put(key, kind string, payload []byte) error {
-	dir := filepath.Dir(s.EntryPath(key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	path, err := s.EntryPath(key)
+	if err != nil {
 		return fmt.Errorf("artifact store: %w", err)
 	}
 	// Compact encoding: json.Marshal preserves the payload's bytes
@@ -152,18 +145,10 @@ func (s *Store) Put(key, kind string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("artifact store: encode %s: %w", key, err)
 	}
-	tmp, err := os.CreateTemp(dir, key+".tmp*")
-	if err != nil {
-		return fmt.Errorf("artifact store: %w", err)
-	}
-	_, werr := tmp.Write(append(b, '\n'))
-	cerr := tmp.Close()
-	if err := errors.Join(werr, cerr); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("artifact store: write %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), s.EntryPath(key)); err != nil {
-		os.Remove(tmp.Name())
+	if err := store.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("artifact store: %w", err)
 	}
 	s.writes.Add(1)
@@ -176,27 +161,30 @@ func (s *Store) Put(key, kind string, payload []byte) error {
 // sync probes should not skew the training hit ratio.
 func (s *Store) Has(key, kind string) bool {
 	_, status := s.load(key, kind)
-	return status == Hit
+	return status == store.Hit
 }
 
 // PutRaw validates one serialized store entry (the bytes of an entry
-// file produced by another node's Put) and persists it through Put,
-// returning the entry's key. Put re-encodes the decoded entry with the
-// same compact serialization that produced it, so the stored file is
-// byte-identical to the uploader's; damaged or schema-stale uploads are
+// file produced by another node's Put) against key and persists it
+// through Put. Put re-encodes the decoded entry with the same compact
+// serialization that produced it, so the stored file is byte-identical
+// to the uploader's; damaged, schema-stale or mismatched uploads are
 // rejected instead of stored.
-func (s *Store) PutRaw(raw []byte) (string, error) {
+func (s *Store) PutRaw(key string, raw []byte) error {
 	var e entry
 	if err := json.Unmarshal(raw, &e); err != nil {
-		return "", fmt.Errorf("artifact store: entry: %w", err)
+		return fmt.Errorf("artifact store: entry for %.12s: %w", key, err)
+	}
+	if e.Key != key {
+		return fmt.Errorf("artifact store: entry declares key %.12s, expected %.12s", e.Key, key)
 	}
 	if e.Schema != SchemaVersion {
-		return "", fmt.Errorf("artifact store: entry %.12s declares schema %d, this store speaks %d", e.Key, e.Schema, SchemaVersion)
+		return fmt.Errorf("artifact store: entry %.12s declares schema %d, this store speaks %d", key, e.Schema, SchemaVersion)
 	}
-	if e.Key == "" || e.Kind == "" || len(e.Payload) == 0 {
-		return "", fmt.Errorf("artifact store: entry %.12s is missing key, kind or payload", e.Key)
+	if e.Kind == "" || len(e.Payload) == 0 {
+		return fmt.Errorf("artifact store: entry %.12s is missing kind or payload", key)
 	}
-	return e.Key, s.Put(e.Key, e.Kind, e.Payload)
+	return s.Put(key, e.Kind, e.Payload)
 }
 
 // Writes reports how many artifacts this store instance has persisted —

@@ -6,7 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/store"
 )
+
+// mustPath unwraps EntryPath for a key the test knows is valid.
+func mustPath(path string, err error) string {
+	if err != nil {
+		panic(err)
+	}
+	return path
+}
 
 func TestProfileKeyDeltaIndependent(t *testing.T) {
 	cfg := core.DefaultConfig()
@@ -58,7 +67,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	key := ProfileKey(cfg, "gzip", "L+F", "train", 1000)
 	payload := []byte(`{"hello":"world"}`)
 
-	if _, st := s.Load(key, KindProfile); st != Miss {
+	if _, st := s.Load(key, KindProfile); st != store.Miss {
 		t.Fatalf("empty store lookup = %v, want Miss", st)
 	}
 	if err := s.Put(key, KindProfile, payload); err != nil {
@@ -73,7 +82,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 
 	// A lookup under the wrong kind is damage, not a hit.
-	if _, st := s.Load(key, "something-else"); st != Corrupt {
+	if _, st := s.Load(key, "something-else"); st != store.Corrupt {
 		t.Errorf("kind mismatch lookup = %v, want Corrupt", st)
 	}
 }
@@ -87,10 +96,10 @@ func TestStoreCorruption(t *testing.T) {
 	}
 
 	// Truncation.
-	if err := os.WriteFile(s.EntryPath(key), []byte(`{"schema":1,"key":"`), 0o644); err != nil {
+	if err := os.WriteFile(mustPath(s.EntryPath(key)), []byte(`{"schema":1,"key":"`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, st := s.Load(key, KindProfile); st != Corrupt {
+	if _, st := s.Load(key, KindProfile); st != store.Corrupt {
 		t.Errorf("truncated entry = %v, want Corrupt", st)
 	}
 
@@ -99,23 +108,23 @@ func TestStoreCorruption(t *testing.T) {
 	if err := s.Put(other, KindProfile, []byte(`{"x":2}`)); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(s.EntryPath(other))
+	b, err := os.ReadFile(mustPath(s.EntryPath(other)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.EntryPath(key), b, 0o644); err != nil {
+	if err := os.WriteFile(mustPath(s.EntryPath(key)), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, st := s.Load(key, KindProfile); st != Corrupt {
+	if _, st := s.Load(key, KindProfile); st != store.Corrupt {
 		t.Errorf("key-mismatched entry = %v, want Corrupt", st)
 	}
 
 	// Stale schema.
-	if err := os.WriteFile(s.EntryPath(key),
+	if err := os.WriteFile(mustPath(s.EntryPath(key)),
 		[]byte(`{"schema":0,"key":"`+key+`","kind":"profile","payload":{"x":1}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, st := s.Load(key, KindProfile); st != Corrupt {
+	if _, st := s.Load(key, KindProfile); st != store.Corrupt {
 		t.Errorf("stale-schema entry = %v, want Corrupt", st)
 	}
 
@@ -136,8 +145,8 @@ func TestStoreFanout(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := filepath.Join(s.Dir, key[:2], key+".json")
-	if s.EntryPath(key) != want {
-		t.Errorf("EntryPath = %s, want %s", s.EntryPath(key), want)
+	if got := mustPath(s.EntryPath(key)); got != want {
+		t.Errorf("EntryPath = %s, want %s", got, want)
 	}
 	if _, err := os.Stat(want); err != nil {
 		t.Errorf("entry not at fan-out path: %v", err)

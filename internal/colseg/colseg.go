@@ -361,6 +361,11 @@ func FloatLists(p []byte, rows int) ([][]float64, error) {
 			lens[i] = -1
 			continue
 		}
+		// Bound each length by the bytes left, so a forged length
+		// cannot overflow the total below.
+		if u-1 > uint64(len(p)-at)/8 {
+			return nil, corruptf("float-list column: row %d claims %d values in %d bytes", i, u-1, len(p)-at)
+		}
 		lens[i] = int(u - 1)
 		total += lens[i]
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/serve/wire"
+	"repro/internal/store"
 	"repro/internal/sweep"
 )
 
@@ -415,22 +416,6 @@ func (s *Server) handleComplete(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, http.StatusOK, wire.CompleteResponse{Versioned: wire.Stamp()})
 }
 
-// validKey reports whether key is a well-formed content-addressed key
-// (64 lowercase hex characters) — the guard that keeps the sync
-// endpoints from ever touching a path outside their fan-out dirs.
-func validKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 func badKey(w http.ResponseWriter, key string) {
 	writeError(w, &apiError{status: http.StatusBadRequest, Code: wire.CodeBadRequest, Field: "key",
 		Message: fmt.Sprintf("%.16q is not a content-addressed key (64 hex characters)", key)})
@@ -477,11 +462,12 @@ func (s *Server) handleGetCache(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	key := req.PathValue("key")
-	if !validKey(key) {
+	path, err := s.cache.EntryPath(key)
+	if err != nil {
 		badKey(w, key)
 		return
 	}
-	serveEntryFile(w, s.cache.EntryPath(key), key)
+	serveEntryFile(w, path, key)
 }
 
 func (s *Server) handlePutCache(w http.ResponseWriter, req *http.Request) {
@@ -490,7 +476,7 @@ func (s *Server) handlePutCache(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	key := req.PathValue("key")
-	if !validKey(key) {
+	if !store.ValidKey(key) {
 		badKey(w, key)
 		return
 	}
@@ -563,11 +549,12 @@ func (s *Server) handleGetArtifact(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	key := req.PathValue("key")
-	if !validKey(key) {
+	path, err := s.artifacts.EntryPath(key)
+	if err != nil {
 		badKey(w, key)
 		return
 	}
-	serveEntryFile(w, s.artifacts.EntryPath(key), key)
+	serveEntryFile(w, path, key)
 }
 
 func (s *Server) handlePutArtifact(w http.ResponseWriter, req *http.Request) {
@@ -576,7 +563,7 @@ func (s *Server) handlePutArtifact(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	key := req.PathValue("key")
-	if !validKey(key) {
+	if !store.ValidKey(key) {
 		badKey(w, key)
 		return
 	}
@@ -584,14 +571,9 @@ func (s *Server) handlePutArtifact(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	declared, kind, err := artifactEntryInfo(body)
+	kind, err := artifactKind(body)
 	if err != nil {
 		writeError(w, &apiError{status: http.StatusBadRequest, Code: wire.CodeBadRequest, Message: err.Error()})
-		return
-	}
-	if declared != key {
-		writeError(w, &apiError{status: http.StatusBadRequest, Code: wire.CodeBadRequest, Field: "key",
-			Message: fmt.Sprintf("entry declares key %.12s, URL names %.12s", declared, key)})
 		return
 	}
 	// Same dedup discipline as the cache side: exactly one write per
@@ -600,7 +582,7 @@ func (s *Server) handlePutArtifact(w http.ResponseWriter, req *http.Request) {
 	f.upMu.Lock()
 	defer f.upMu.Unlock()
 	if !s.artifacts.Has(key, kind) {
-		if _, err := s.artifacts.PutRaw(body); err != nil {
+		if err := s.artifacts.PutRaw(key, body); err != nil {
 			writeError(w, &apiError{status: http.StatusBadRequest, Code: wire.CodeBadRequest, Message: err.Error()})
 			return
 		}
@@ -608,17 +590,17 @@ func (s *Server) handlePutArtifact(w http.ResponseWriter, req *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// artifactEntryInfo peeks at a serialized artifact entry's declared key
-// and kind (full validation happens in the store's PutRaw).
-func artifactEntryInfo(raw []byte) (key, kind string, err error) {
+// artifactKind peeks at a serialized artifact entry's declared kind
+// (full validation, the declared key included, happens in the store's
+// PutRaw).
+func artifactKind(raw []byte) (string, error) {
 	var e struct {
-		Key  string `json:"key"`
 		Kind string `json:"kind"`
 	}
 	if err := json.Unmarshal(raw, &e); err != nil {
-		return "", "", fmt.Errorf("artifact entry: %w", err)
+		return "", fmt.Errorf("artifact entry: %w", err)
 	}
-	return e.Key, e.Kind, nil
+	return e.Kind, nil
 }
 
 // healthz is the liveness body.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve/wire"
+	"repro/internal/store"
 	"repro/internal/sweep"
 )
 
@@ -614,11 +615,11 @@ func (s *Server) runSweepFleet(r *sweepRun) {
 		}
 		out, st := s.cache.Load(key)
 		switch st {
-		case sweep.LoadHit:
+		case store.Hit:
 			complete(sweep.JobDone{Index: i, Job: job, Key: key, Outcome: out,
 				Source: sweep.SourceDisk, Elapsed: time.Since(start)})
 			continue
-		case sweep.LoadCorrupt:
+		case store.Corrupt:
 			s.metrics.corruptEntries.Add(1)
 			mu.Lock()
 			sum.CorruptEntries++

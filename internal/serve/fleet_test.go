@@ -332,6 +332,10 @@ func TestFleetStrictFrames(t *testing.T) {
 	if err := c.PutCacheEntry(ctx, key, []byte(`{"key":"deadbeef","job":{},"outcome":{"result":{}}}`)); !errors.As(err, &ae) || ae.Code != wire.CodeBadRequest {
 		t.Fatalf("key mismatch: %v, want %s", err, wire.CodeBadRequest)
 	}
+	artifactEntry := `{"schema":1,"key":"` + strings.Repeat("cd", 32) + `","kind":"profile","payload":{}}`
+	if err := c.PutArtifact(ctx, key, []byte(artifactEntry)); !errors.As(err, &ae) || ae.Code != wire.CodeBadRequest {
+		t.Fatalf("artifact key mismatch: %v, want %s", err, wire.CodeBadRequest)
+	}
 
 	// Lease traffic from a worker that never registered.
 	if _, err := c.Heartbeat(ctx, "ls-1", "wk-404"); !errors.As(err, &ae) || ae.Code != wire.CodeUnknownWorker {
@@ -394,11 +398,13 @@ func TestFleetSegmentSyncByteIdentity(t *testing.T) {
 	coord := &sweep.Cache{Dir: dir}
 	for _, j := range jobs {
 		k := sweep.Key(cfg, j)
-		got, err := os.ReadFile(coord.EntryPath(k))
+		coordPath, _ := coord.EntryPath(k) // k is a sweep.Key
+		oraclePath, _ := oracle.EntryPath(k)
+		got, err := os.ReadFile(coordPath)
 		if err != nil {
 			t.Fatalf("coordinator entry %.12s: %v", k, err)
 		}
-		wantEntry, err := os.ReadFile(oracle.EntryPath(k))
+		wantEntry, err := os.ReadFile(oraclePath)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -233,7 +233,7 @@ func (w *Worker) processLease(ctx context.Context, l *wire.Lease) error {
 		if !ok {
 			continue // not trained anywhere yet; this run will produce it
 		}
-		if _, err := w.store.PutRaw(b); err != nil {
+		if err := w.store.PutRaw(k, b); err != nil {
 			return fmt.Errorf("prefetch artifact %.12s: %w", k, err)
 		}
 		remote[k] = true
@@ -327,7 +327,11 @@ func (w *Worker) processLease(ctx context.Context, l *wire.Lease) error {
 		if remote[k] {
 			continue
 		}
-		b, err := os.ReadFile(w.store.EntryPath(k))
+		path, err := w.store.EntryPath(k)
+		if err != nil {
+			return fmt.Errorf("upload artifact: %w", err)
+		}
+		b, err := os.ReadFile(path)
 		if err != nil {
 			continue // not produced (the depending job failed)
 		}

@@ -2,20 +2,19 @@ package sweep
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
+	"io"
+
+	"repro/internal/store"
 )
 
 // Cache is a content-addressed on-disk result store. Every entry is one
 // JSON file named by its job key under a two-character fan-out
-// directory, written atomically (temp file + rename) so concurrent
-// shards can share one cache directory and interrupted sweeps never
-// leave half-written entries behind. Corrupt or mismatched entries are
-// treated as misses and overwritten by the next run; the engine counts
-// and surfaces them (Summary.CorruptEntries).
+// directory, written through the store layer's atomic write so
+// concurrent shards can share one cache directory and interrupted
+// sweeps never leave half-written entries behind. Corrupt or mismatched
+// entries are treated as misses and overwritten by the next run; the
+// engine counts and surfaces them (Summary.CorruptEntries).
 type Cache struct {
 	Dir string
 }
@@ -29,54 +28,41 @@ type entry struct {
 	Outcome *Outcome `json:"outcome"`
 }
 
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.Dir, key[:2], key+".json")
-}
+// EntryPath returns the path an outcome is stored at, or an error for a
+// malformed key.
+func (c *Cache) EntryPath(key string) (string, error) { return store.Path(c.Dir, key, ".json") }
 
-// EntryPath returns the path an outcome is stored at.
-func (c *Cache) EntryPath(key string) string { return c.path(key) }
-
-// LoadStatus classifies the outcome of a cache lookup.
-type LoadStatus int
-
-const (
-	// LoadMiss means no entry exists under the key.
-	LoadMiss LoadStatus = iota
-	// LoadHit means a valid entry was loaded.
-	LoadHit
-	// LoadCorrupt means an entry exists but is unreadable, truncated,
-	// syntactically invalid, or stored under a mismatched key (e.g. a
-	// file copied to the wrong name) — the engine treats it as a miss
-	// and surfaces the damage.
-	LoadCorrupt
-)
-
-// Load returns the outcome stored under key, with a status
-// distinguishing absent entries from damaged ones.
-func (c *Cache) Load(key string) (*Outcome, LoadStatus) {
-	b, err := os.ReadFile(c.path(key))
+// read loads and validates the entry stored under key.
+func (c *Cache) read(key string) (entry, store.Status) {
+	path, err := c.EntryPath(key)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, LoadMiss
-		}
-		return nil, LoadCorrupt
+		return entry{}, store.Corrupt
+	}
+	b, status := store.Read(path)
+	if status != store.Hit {
+		return entry{}, status
 	}
 	var e entry
-	if err := json.Unmarshal(b, &e); err != nil {
-		return nil, LoadCorrupt
+	if err := json.Unmarshal(b, &e); err != nil || e.Key != key || e.Outcome == nil {
+		return entry{}, store.Corrupt
 	}
-	if e.Key != key || e.Outcome == nil {
-		return nil, LoadCorrupt
-	}
-	return e.Outcome, LoadHit
+	return e, store.Hit
+}
+
+// Load returns the outcome stored under key, with a status
+// distinguishing absent entries from damaged ones (unreadable,
+// truncated, syntactically invalid, or stored under a mismatched key).
+func (c *Cache) Load(key string) (*Outcome, store.Status) {
+	e, status := c.read(key)
+	return e.Outcome, status
 }
 
 // Get loads the outcome stored under key, collapsing missing and
 // damaged entries to ok=false (Merge's view: either way the work is
 // not in the cache).
 func (c *Cache) Get(key string) (*Outcome, bool) {
-	out, status := c.Load(key)
-	return out, status == LoadHit
+	e, status := c.read(key)
+	return e.Outcome, status == store.Hit
 }
 
 // Entry loads the full entry stored under key — job and outcome — for
@@ -84,15 +70,8 @@ func (c *Cache) Get(key string) (*Outcome, bool) {
 // job, not just the outcome, so re-materialized JSON stays
 // byte-identical). Damaged entries report ok=false like Get.
 func (c *Cache) Entry(key string) (Job, *Outcome, bool) {
-	b, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return Job{}, nil, false
-	}
-	var e entry
-	if err := json.Unmarshal(b, &e); err != nil || e.Key != key || e.Outcome == nil {
-		return Job{}, nil, false
-	}
-	return e.Job, e.Outcome, true
+	e, status := c.read(key)
+	return e.Job, e.Outcome, status == store.Hit
 }
 
 // PutRaw validates one serialized cache entry (the bytes of an entry
@@ -118,26 +97,18 @@ func (c *Cache) PutRaw(key string, raw []byte) error {
 
 // Put atomically persists an outcome under key.
 func (c *Cache) Put(key string, job Job, out *Outcome) error {
-	dir := filepath.Dir(c.path(key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	path, err := c.EntryPath(key)
+	if err != nil {
 		return fmt.Errorf("sweep cache: %w", err)
 	}
 	b, err := json.MarshalIndent(entry{Key: key, Job: job, Outcome: out}, "", " ")
 	if err != nil {
 		return fmt.Errorf("sweep cache: encode %s: %w", key, err)
 	}
-	tmp, err := os.CreateTemp(dir, key+".tmp*")
-	if err != nil {
-		return fmt.Errorf("sweep cache: %w", err)
-	}
-	_, werr := tmp.Write(append(b, '\n'))
-	cerr := tmp.Close()
-	if err := errors.Join(werr, cerr); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sweep cache: write %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
+	if err := store.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
+		return err
+	}); err != nil {
 		return fmt.Errorf("sweep cache: %w", err)
 	}
 	return nil

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/calltree"
 	"repro/internal/core"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -20,26 +22,14 @@ import (
 func countEntries(t *testing.T, dir string) int {
 	t.Helper()
 	n := 0
-	fans, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return 0
-	}
+	err := store.Walk(dir, ".json", func(_, key string, _ fs.DirEntry) error {
+		if key != "" {
+			n++
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, fan := range fans {
-		if !fan.IsDir() || !isFanoutDir(fan.Name()) {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(dir, fan.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range files {
-			if _, ok := entryKey(f.Name()); ok {
-				n++
-			}
-		}
 	}
 	return n
 }
@@ -226,7 +216,7 @@ func TestProfileArtifactReuse(t *testing.T) {
 	// Corrupt the stored entry: the next engine counts it, retrains,
 	// and repairs the store.
 	key := spec.ArtifactKey(cfg)
-	if err := os.WriteFile(eng2.Artifacts.EntryPath(key), []byte("{corrupt"), 0o644); err != nil {
+	if err := os.WriteFile(mustPath(eng2.Artifacts.EntryPath(key)), []byte("{corrupt"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	eng3 := New(cfg)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // Source reports where an outcome came from.
@@ -181,12 +182,12 @@ func (e *Engine) logger() *obs.Logger {
 }
 
 // noteCorrupt records one unusable persistent entry and warns once per
-// offending path: corruption is handled as a miss, but it should never
+// offending entry: corruption is handled as a miss, but it should never
 // be silent — a recurring count points at a damaged shared directory.
-func (e *Engine) noteCorrupt(path string) {
+func (e *Engine) noteCorrupt(storeName, key string) {
 	e.nCorrupt.Add(1)
-	e.logger().WarnOnce(path, "corrupt cache entry, treated as a miss and rewritten",
-		"store", "results", "path", path)
+	e.logger().WarnOnce(storeName+"/"+key, "corrupt cache entry, treated as a miss and rewritten",
+		"store", storeName, "key", key)
 }
 
 // warnPersist reports, once per engine, that results or artifacts are
@@ -262,12 +263,12 @@ func (e *Engine) lookup(key string, job Job) (*Outcome, bool) {
 	}
 	out, status := e.Cache.Load(key)
 	switch status {
-	case LoadHit:
+	case store.Hit:
 		e.nDisk.Add(1)
 		e.bufferSegRow(key, job, out)
 		return out, true
-	case LoadCorrupt:
-		e.noteCorrupt(e.Cache.EntryPath(key))
+	case store.Corrupt:
+		e.noteCorrupt("results", key)
 	}
 	return nil, false
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/edit"
 	"repro/internal/isa"
 	"repro/internal/obs"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -188,11 +189,11 @@ func (x *executor) loadOrRecordStream(b *workload.Benchmark, in isa.Input, windo
 	key := StreamKey(b, ref)
 	s, status := st.Load(key)
 	switch status {
-	case StreamHit:
+	case store.Hit:
 		x.eng.nStream.Add(1)
 		return s, key, "hit"
-	case StreamCorrupt:
-		x.eng.noteCorrupt(st.EntryPath(key))
+	case store.Corrupt:
+		x.eng.noteCorrupt("streams", key)
 	}
 	s = isa.RecordPackedSized(b.Prog, in, window)
 	if err := st.Put(key, s); err != nil {
@@ -257,7 +258,7 @@ func (x *executor) loadStored(key string) *core.Profile {
 	}
 	payload, status := st.Load(key, artifact.KindProfile)
 	switch status {
-	case artifact.Hit:
+	case store.Hit:
 		prof, err := core.DecodeProfile(payload)
 		if err == nil {
 			// The stored state is delta-independent; rebuild the plan
@@ -265,9 +266,9 @@ func (x *executor) loadStored(key string) *core.Profile {
 			prof.Plan = core.Replan(prof, x.eng.Cfg.DeltaPct)
 			return prof
 		}
-		x.eng.noteCorrupt(st.EntryPath(key))
-	case artifact.Corrupt:
-		x.eng.noteCorrupt(st.EntryPath(key))
+		x.eng.noteCorrupt("artifacts", key)
+	case store.Corrupt:
+		x.eng.noteCorrupt("artifacts", key)
 	}
 	return nil
 }

@@ -2,12 +2,13 @@ package sweep
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"repro/internal/artifact"
+	"repro/internal/store"
 )
 
 // artifactSubdir is where a cache directory's co-located artifact store
@@ -23,35 +24,6 @@ func ArtifactStore(cacheDir string) *artifact.Store {
 	return &artifact.Store{Dir: filepath.Join(cacheDir, artifactSubdir)}
 }
 
-// entryKey reports whether name looks like a content-addressed entry
-// file (<64 hex chars>.json) and returns its key.
-func entryKey(name string) (string, bool) { return entryKeyExt(name, ".json") }
-
-// entryKeyExt is entryKey for an arbitrary entry extension (the stream
-// store uses .bin).
-func entryKeyExt(name, ext string) (string, bool) {
-	key, ok := strings.CutSuffix(name, ext)
-	if !ok || len(key) != 64 {
-		return "", false
-	}
-	for _, c := range key {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return "", false
-		}
-	}
-	return key, true
-}
-
-// isFanoutDir reports whether name is a two-hex-character fan-out
-// directory.
-func isFanoutDir(name string) bool {
-	if len(name) != 2 {
-		return false
-	}
-	_, ok := entryKey(name + strings.Repeat("0", 62) + ".json")
-	return ok
-}
-
 // Unreachable scans a shared cache directory — result entries at the
 // top level, the artifact store under artifacts/, the packed-stream
 // cache under streams/ — and returns the entry files whose keys are not
@@ -61,36 +33,17 @@ func isFanoutDir(name string) bool {
 func Unreachable(dir string, results, artifacts, streams map[string]bool) ([]string, error) {
 	var out []string
 	scan := func(root, ext string, keep map[string]bool) error {
-		entries, err := os.ReadDir(root)
-		if err != nil {
-			if os.IsNotExist(err) {
+		return store.Walk(root, ext, func(path, key string, _ fs.DirEntry) error {
+			if keep[key] {
 				return nil
 			}
-			return err
-		}
-		for _, fan := range entries {
-			if !fan.IsDir() || !isFanoutDir(fan.Name()) {
-				continue
-			}
-			files, err := os.ReadDir(filepath.Join(root, fan.Name()))
+			rel, err := filepath.Rel(dir, path)
 			if err != nil {
 				return err
 			}
-			for _, f := range files {
-				if f.IsDir() {
-					continue
-				}
-				if key, ok := entryKeyExt(f.Name(), ext); ok && keep[key] {
-					continue
-				}
-				rel, err := filepath.Rel(dir, filepath.Join(root, fan.Name(), f.Name()))
-				if err != nil {
-					return err
-				}
-				out = append(out, rel)
-			}
-		}
-		return nil
+			out = append(out, rel)
+			return nil
+		})
 	}
 	if err := scan(dir, ".json", results); err != nil {
 		return nil, fmt.Errorf("sweep: prune scan: %w", err)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/colseg"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // Columnar result segments. Alongside the canonical one-JSON-file-per-
@@ -131,14 +133,13 @@ func EncodeSegment(rows []Merged) ([]byte, error) {
 		globalMHz, staticReconfig, staticInstr                          []int64
 	)
 	for _, m := range sorted {
-		kb, err := hex.DecodeString(m.Key)
-		if err != nil || len(kb) != 32 {
+		if !store.ValidKey(m.Key) {
 			return nil, fmt.Errorf("sweep: segment: %.16q is not a content-addressed key", m.Key)
 		}
 		if m.Outcome == nil {
 			return nil, fmt.Errorf("sweep: segment: row %.12s has no outcome", m.Key)
 		}
-		rawKeys = append(rawKeys, kb...)
+		rawKeys, _ = hex.AppendDecode(rawKeys, []byte(m.Key)) // a valid key decodes
 		put.bench = append(put.bench, m.Job.Bench)
 		put.policy = append(put.policy, m.Job.Policy)
 		put.scheme = append(put.scheme, m.Job.Scheme)
@@ -490,7 +491,7 @@ func (s *SegmentStore) Append(rows []Merged) error {
 	}
 	sum := sha256.Sum256(b)
 	name := segPrefix + hex.EncodeToString(sum[:8]) + segSuffix
-	if err := writeFileAtomic(s.dir, name, b); err != nil {
+	if err := writeSegment(s.dir, name, b); err != nil {
 		return fmt.Errorf("sweep: segment: %w", err)
 	}
 
@@ -506,27 +507,12 @@ func (s *SegmentStore) Append(rows []Merged) error {
 	return nil
 }
 
-// writeFileAtomic writes name under dir via temp file + rename,
-// creating dir as needed.
-func writeFileAtomic(dir, name string, b []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// writeSegment atomically writes one encoded segment file under dir.
+func writeSegment(dir, name string, b []byte) error {
+	return store.WriteFile(filepath.Join(dir, name), func(w io.Writer) error {
+		_, err := w.Write(b)
 		return err
-	}
-	tmp, err := os.CreateTemp(dir, name+".tmp*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return joinErr(werr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	})
 }
 
 // SegmentStat describes one on-disk segment file for prune's dry run.
@@ -653,7 +639,7 @@ func CompactSegments(cacheDir string, results map[string]bool) (removed int, fre
 		}
 		sum := sha256.Sum256(b)
 		name := segPrefix + hex.EncodeToString(sum[:8]) + segSuffix
-		if werr := writeFileAtomic(dir, name, b); werr != nil {
+		if werr := writeSegment(dir, name, b); werr != nil {
 			return 0, 0, fmt.Errorf("sweep: segment compact: %w", werr)
 		}
 		freed -= int64(len(b))

@@ -3,13 +3,13 @@ package sweep
 import (
 	"crypto/sha256"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
 
 	"repro/internal/isa"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -32,11 +32,11 @@ const streamSchema = 1
 // loading one is far cheaper than re-running the generating walk, which
 // is what makes cold daemons and fleet workers start fast.
 //
-// Entries are written atomically (temp file + rename) under two-hex
-// fan-out directories, named <key>.bin, and are self-describing: the
-// key is embedded ahead of the payload, so a file copied to the wrong
-// name is detected. Corrupt, truncated, or mismatched entries load as
-// StreamCorrupt; the engine counts them (Summary.CorruptEntries) and
+// Entries are written through the store layer's atomic write under
+// two-hex fan-out directories, named <key>.bin, and are self-describing:
+// the key is embedded ahead of the payload, so a file copied to the
+// wrong name is detected. Corrupt, truncated, or mismatched entries load
+// as store.Corrupt; the engine counts them (Summary.CorruptEntries) and
 // rewrites them from a fresh walk.
 type StreamStore struct {
 	Dir string
@@ -70,62 +70,52 @@ func StreamKey(b *workload.Benchmark, ref bool) string {
 	return fmt.Sprintf("%x", sha256.Sum256(j))
 }
 
-// EntryPath returns the path a stream is stored at.
-func (st *StreamStore) EntryPath(key string) string {
-	return filepath.Join(st.Dir, key[:2], key+".bin")
+// EntryPath returns the path a stream is stored at, or an error for a
+// malformed key.
+func (st *StreamStore) EntryPath(key string) (string, error) {
+	return store.Path(st.Dir, key, ".bin")
 }
 
-// StreamStatus classifies a stream lookup.
-type StreamStatus int
+// StreamStatus, StreamHit and StreamCorrupt are the store layer's
+// lookup status under the names the repository benchmark compiles
+// against.
+type StreamStatus = store.Status
 
 const (
-	// StreamMiss means no entry exists under the key.
-	StreamMiss StreamStatus = iota
-	// StreamHit means a valid stream was decoded.
-	StreamHit
-	// StreamCorrupt means an entry exists but is unreadable, truncated,
-	// fails its checksum, or is stored under a mismatched key — callers
-	// treat it as a miss and rewrite it.
-	StreamCorrupt
+	StreamHit     = store.Hit
+	StreamCorrupt = store.Corrupt
 )
 
 // Load decodes the stream stored under key.
-func (st *StreamStore) Load(key string) (*isa.PackedStream, StreamStatus) {
-	b, err := os.ReadFile(st.EntryPath(key))
+func (st *StreamStore) Load(key string) (*isa.PackedStream, store.Status) {
+	path, err := st.EntryPath(key)
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, StreamMiss
-		}
-		return nil, StreamCorrupt
+		return nil, store.Corrupt
+	}
+	b, status := store.Read(path)
+	if status != store.Hit {
+		return nil, status
 	}
 	if len(b) < 65 || string(b[:64]) != key || b[64] != '\n' {
-		return nil, StreamCorrupt
+		return nil, store.Corrupt
 	}
 	s, err := isa.DecodePacked(b[65:])
 	if err != nil {
-		return nil, StreamCorrupt
+		return nil, store.Corrupt
 	}
-	return s, StreamHit
+	return s, store.Hit
 }
 
 // Put atomically persists a stream under key.
 func (st *StreamStore) Put(key string, s *isa.PackedStream) error {
-	dir := filepath.Dir(st.EntryPath(key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("stream store: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, key+".tmp*")
+	path, err := st.EntryPath(key)
 	if err != nil {
 		return fmt.Errorf("stream store: %w", err)
 	}
-	_, werr := tmp.Write(append(append([]byte(key), '\n'), isa.EncodePacked(s)...))
-	cerr := tmp.Close()
-	if err := errors.Join(werr, cerr); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("stream store: write %.12s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), st.EntryPath(key)); err != nil {
-		os.Remove(tmp.Name())
+	if err := store.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(append(append([]byte(key), '\n'), isa.EncodePacked(s)...))
+		return err
+	}); err != nil {
 		return fmt.Errorf("stream store: %w", err)
 	}
 	return nil
@@ -135,33 +125,15 @@ func (st *StreamStore) Put(key string, s *isa.PackedStream) error {
 // directory: entry count and total bytes (temp litter included, since
 // prune reclaims it too).
 func StreamStats(cacheDir string) (entries int, bytes int64, err error) {
-	root := filepath.Join(cacheDir, streamSubdir)
-	fans, err := os.ReadDir(root)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, 0, nil
-		}
-		return 0, 0, fmt.Errorf("sweep: stream stats: %w", err)
-	}
-	for _, fan := range fans {
-		if !fan.IsDir() || !isFanoutDir(fan.Name()) {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(root, fan.Name()))
-		if err != nil {
-			return 0, 0, fmt.Errorf("sweep: stream stats: %w", err)
-		}
-		for _, f := range files {
-			if f.IsDir() {
-				continue
-			}
-			info, err := f.Info()
-			if err != nil {
-				continue
-			}
+	err = store.Walk(filepath.Join(cacheDir, streamSubdir), ".bin", func(_, _ string, d fs.DirEntry) error {
+		if info, err := d.Info(); err == nil {
 			entries++
 			bytes += info.Size()
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, fmt.Errorf("sweep: stream stats: %w", err)
 	}
 	return entries, bytes, nil
 }

@@ -11,15 +11,24 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/isa"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
+
+// mustPath unwraps EntryPath for a key the test knows is valid.
+func mustPath(path string, err error) string {
+	if err != nil {
+		panic(err)
+	}
+	return path
+}
 
 func TestStreamStoreRoundtrip(t *testing.T) {
 	st := StreamStoreFor(t.TempDir())
 	b := workload.ByName("adpcm_decode")
 	key := StreamKey(b, false)
 
-	if _, status := st.Load(key); status != StreamMiss {
+	if _, status := st.Load(key); status != store.Miss {
 		t.Fatalf("empty store: status %v, want miss", status)
 	}
 	s := isa.RecordPacked(b.Prog, b.Train)
@@ -39,14 +48,14 @@ func TestStreamStoreRoundtrip(t *testing.T) {
 	if other == key {
 		t.Fatal("train and ref streams share a key")
 	}
-	if err := os.MkdirAll(filepath.Dir(st.EntryPath(other)), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(mustPath(st.EntryPath(other))), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(st.EntryPath(key))
+	data, err := os.ReadFile(mustPath(st.EntryPath(key)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(st.EntryPath(other), data, 0o644); err != nil {
+	if err := os.WriteFile(mustPath(st.EntryPath(other)), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, status := st.Load(other); status != StreamCorrupt {
@@ -54,7 +63,7 @@ func TestStreamStoreRoundtrip(t *testing.T) {
 	}
 
 	// Truncation is detected by the codec checksum.
-	if err := os.WriteFile(st.EntryPath(key), data[:len(data)/2], 0o644); err != nil {
+	if err := os.WriteFile(mustPath(st.EntryPath(key)), data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, status := st.Load(key); status != StreamCorrupt {
@@ -142,7 +151,7 @@ func TestStreamCacheCorruptEntryQuarantined(t *testing.T) {
 	}
 	b := workload.ByName("adpcm_decode")
 	key := StreamKey(b, true)
-	path := StreamStoreFor(dir).EntryPath(key)
+	path := mustPath(StreamStoreFor(dir).EntryPath(key))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
