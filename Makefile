@@ -42,7 +42,8 @@ race:
 # invocation, so the targets run one after another.
 FUZZ_TARGETS = ./internal/isa:FuzzProgramCount ./internal/isa:FuzzDecodePacked \
 	./internal/core:FuzzDecodeProfile ./internal/sweep:FuzzParseManifest \
-	./internal/sweep:FuzzStoreEntry ./internal/sweep:FuzzDecodeSegmentRows
+	./internal/sweep:FuzzStoreEntry ./internal/sweep:FuzzDecodeSegmentRows \
+	./internal/serve/wire:FuzzDecodeStrict
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

@@ -179,8 +179,9 @@ func main() {
 	switch cmd {
 	case "enum":
 		mine := sweep.Shard(cfg, jobs, *shards, *shard)
+		keys := sweep.NewKeySpace(cfg)
 		for _, j := range mine {
-			fmt.Printf("%s  %s\n", sweep.Key(cfg, j)[:12], j)
+			fmt.Printf("%s  %s\n", keys.Key(j)[:12], j)
 		}
 		fmt.Fprintf(os.Stderr, "%d jobs (shard %d/%d of %d total)\n",
 			len(mine), *shard, *shards, len(jobs))

@@ -17,11 +17,10 @@
 package artifact
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/arch"
@@ -40,34 +39,56 @@ const SchemaVersion = 1
 // (core.EncodeProfile bytes).
 const KindProfile = "profile"
 
-// ProfileKey returns the content-addressed key of a trained profile: a
-// hex SHA-256 of the canonical JSON of (schema version, kind, training
-// configuration, benchmark, scheme, input, window). The training
-// configuration is cfg with the replan-time and comparator-only knobs
-// (DeltaPct, Online) zeroed — training is delta-independent, which is
-// exactly what makes the stored profile shareable across deltas.
-func ProfileKey(cfg core.Config, bench, scheme, input string, window int64) string {
+// KeySpace is the trained-profile key space of one configuration. A
+// profile key is a hex SHA-256 of the canonical JSON of (schema version,
+// kind, training configuration, benchmark, scheme, input, window). The
+// training configuration is cfg with the replan-time and
+// comparator-only knobs (DeltaPct, Online) zeroed — training is
+// delta-independent, which is exactly what makes the stored profile
+// shareable across deltas — and is encoded once, when the key space is
+// built (see store.KeySpace). A KeySpace is safe for concurrent use.
+type KeySpace struct {
+	keys *store.KeySpace
+}
+
+// NewKeySpace returns the profile key space of cfg's training
+// configuration.
+func NewKeySpace(cfg core.Config) *KeySpace {
 	cfg.DeltaPct = 0
 	cfg.Online = control.AttackDecayConfig{}
 	// The default topology hashes as absent (like the result-cache key
 	// space), so pre-topology artifacts keep their keys.
 	cfg.Sim.Topology = arch.CanonicalTopologyName(cfg.Sim.Topology)
-	payload := struct {
-		Schema int         `json:"schema"`
-		Kind   string      `json:"kind"`
-		Config core.Config `json:"config"`
-		Bench  string      `json:"bench"`
-		Scheme string      `json:"scheme"`
-		Input  string      `json:"input"`
-		Window int64       `json:"window"`
-	}{SchemaVersion, KindProfile, cfg, bench, scheme, input, window}
-	b, err := json.Marshal(payload)
+	b, err := json.Marshal(cfg)
 	if err != nil {
-		// core.Config and the key fields are plain data; this cannot fail.
+		// core.Config is plain data; this cannot fail.
 		panic("artifact: key encoding: " + err.Error())
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	// The prefix is the key object up to the benchmark member.
+	prefix := `{"schema":` + strconv.Itoa(SchemaVersion) + `,"kind":"` + KindProfile + `","config":`
+	return &KeySpace{store.NewKeySpace([]byte(prefix), b, []byte(","))}
+}
+
+// ProfileKey returns the key of the profile trained for (bench, scheme)
+// on the given input and window.
+func (k *KeySpace) ProfileKey(bench, scheme, input string, window int64) string {
+	tail, err := json.Marshal(struct {
+		Bench  string `json:"bench"`
+		Scheme string `json:"scheme"`
+		Input  string `json:"input"`
+		Window int64  `json:"window"`
+	}{bench, scheme, input, window})
+	if err != nil {
+		panic("artifact: key encoding: " + err.Error())
+	}
+	// The tail continues the prefix's object, so it drops its own '{'.
+	return k.keys.Key(tail[1:])
+}
+
+// ProfileKey returns the content-addressed key of a trained profile:
+// NewKeySpace(cfg).ProfileKey(bench, scheme, input, window).
+func ProfileKey(cfg core.Config, bench, scheme, input string, window int64) string {
+	return NewKeySpace(cfg).ProfileKey(bench, scheme, input, window)
 }
 
 // Status is the store layer's lookup status; the alias and Hit keep

@@ -269,7 +269,7 @@ func (s *Server) handleResults(w http.ResponseWriter, req *http.Request) {
 	// is still a clean structured error.
 	s.segments.Refresh()
 	src := sweep.MergeSource{Cache: s.cache, Segments: s.segments}
-	if err := sweep.MergeCheck(r.cfg, r.jobs, src); err != nil {
+	if err := sweep.MergeCheck(r.keys.Config(), r.jobs, src); err != nil {
 		writeError(w, &apiError{status: http.StatusInternalServerError, Code: "merge_failed",
 			Message: err.Error()})
 		return
@@ -277,12 +277,12 @@ func (s *Server) handleResults(w http.ResponseWriter, req *http.Request) {
 	if format == "ndjson" {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
-		sweep.MergeNDJSON(w, r.cfg, r.jobs, src)
+		sweep.MergeNDJSON(w, r.keys.Config(), r.jobs, src)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	sweep.MergeTo(w, r.cfg, r.jobs, src)
+	sweep.MergeTo(w, r.keys.Config(), r.jobs, src)
 }
 
 // handleTrace streams a sweep's execution spans as NDJSON: the tracer
@@ -318,7 +318,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, req *http.Request) {
 	// keys. Span identity never feeds any of those keys — this is a
 	// read-side projection only.
 	keep := func(string) bool { return true }
-	if results, artifacts, streams, err := sweep.Reachable(r.cfg, r.jobs); err == nil {
+	if results, artifacts, streams, err := sweep.Reachable(r.keys.Config(), r.jobs); err == nil {
 		keep = func(k string) bool {
 			return k == "" || results[k] || artifacts[k] || streams[k]
 		}

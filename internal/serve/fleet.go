@@ -53,9 +53,10 @@ func (fc FleetConfig) withDefaults() FleetConfig {
 
 // EnableFleet turns the server into a fleet coordinator: sweeps no
 // longer execute on the local pool — jobs are grouped by their shard
-// anchor (sweep.AnchorKey) and leased to registered workers one group
-// at a time, so each trained profile and each shared dependency run
-// lands on exactly one worker. Call before serving traffic.
+// anchor (sweep.KeySpace.AnchorKey) and leased to registered workers
+// one group at a time, so each trained profile and each shared
+// dependency run lands on exactly one worker. Call before serving
+// traffic.
 func (s *Server) EnableFleet(fc FleetConfig) {
 	f := &fleet{
 		s:          s,
@@ -133,7 +134,7 @@ type fleetJob struct {
 }
 
 // leaseGroup is one anchor group: every pending job sharing one
-// sweep.AnchorKey under one configuration, granted as a unit.
+// sweep.KeySpace.AnchorKey under one configuration, granted as a unit.
 type leaseGroup struct {
 	gkey     string
 	cfg      core.Config
@@ -528,10 +529,10 @@ type enqueueItem struct {
 // together — the invariant that keeps each training on exactly one
 // worker. Jobs already pending (from any sweep) are joined, not
 // duplicated.
-func (f *fleet) enqueue(cfg core.Config, recCache int, items []enqueueItem) {
+func (f *fleet) enqueue(keys *sweep.KeySpace, recCache int, items []enqueueItem) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	ck := configKey(cfg)
+	ck := keys.ConfigKey()
 	queued := false
 	for _, it := range items {
 		if fj, ok := f.jobs[it.key]; ok {
@@ -540,11 +541,11 @@ func (f *fleet) enqueue(cfg core.Config, recCache int, items []enqueueItem) {
 		}
 		fj := &fleetJob{key: it.key, job: it.job, waiters: []waiter{it.w}}
 		f.jobs[it.key] = fj
-		anchor := sweep.AnchorKey(cfg, it.job)
+		anchor := keys.AnchorKey(it.job)
 		gkey := ck + "\x00" + anchor
 		g := f.open[gkey]
 		if g == nil {
-			g = &leaseGroup{gkey: gkey, cfg: cfg, recCache: recCache, anchor: anchor}
+			g = &leaseGroup{gkey: gkey, cfg: keys.Config(), recCache: recCache, anchor: anchor}
 			f.open[gkey] = g
 			f.queue = append(f.queue, g)
 			queued = true
@@ -601,7 +602,7 @@ func (s *Server) runSweepFleet(r *sweepRun) {
 			complete(sweep.JobDone{Index: i, Job: job, Source: sweep.SourceMemory, Err: err})
 			continue
 		}
-		key := sweep.Key(r.cfg, job)
+		key := r.keys.Key(job)
 		// The columnar layer answers first: one O(1) in-memory lookup
 		// against segments synced by workers (or sealed by local runs)
 		// instead of a JSON decode per job.
@@ -628,7 +629,7 @@ func (s *Server) runSweepFleet(r *sweepRun) {
 		misses = append(misses, enqueueItem{job: job, key: key, w: waiter{index: i, cb: complete}})
 	}
 	if len(misses) > 0 {
-		f.enqueue(r.cfg, r.recCache, misses)
+		f.enqueue(r.keys, r.recCache, misses)
 	}
 	if len(r.jobs) > 0 {
 		<-done

@@ -30,7 +30,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -39,9 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/artifact"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve/wire"
 	"repro/internal/sweep"
@@ -152,11 +149,14 @@ type Event = wire.Event
 type sweepRun struct {
 	id   string
 	name string
-	cfg  core.Config
+	// keys is the sweep configuration's key space; keys.Config() is the
+	// configuration.
+	keys *sweep.KeySpace
 	jobs []sweep.Job
 	// recCache is the manifest's recorded-stream cache override; it is
-	// an execution knob (not part of cfg or the sweep ID) applied when
-	// this sweep is the first to create its configuration's engine.
+	// an execution knob (not part of the config or the sweep ID)
+	// applied when this sweep is the first to create its
+	// configuration's engine.
 	recCache int
 
 	mu      sync.Mutex
@@ -168,11 +168,11 @@ type sweepRun struct {
 	err     error
 }
 
-func newSweepRun(id string, m *sweep.Manifest, cfg core.Config, jobs []sweep.Job) *sweepRun {
+func newSweepRun(id string, m *sweep.Manifest, keys *sweep.KeySpace, jobs []sweep.Job) *sweepRun {
 	return &sweepRun{
 		id:       id,
 		name:     m.Name,
-		cfg:      cfg,
+		keys:     keys,
 		jobs:     jobs,
 		recCache: m.RecordingCache,
 		changed:  make(chan struct{}),
@@ -259,33 +259,20 @@ func (r *sweepRun) status() Status {
 	return st
 }
 
-// configKey content-addresses a configuration (topology canonicalized
-// like the cache-key space) so engines — and their singleflight memo —
-// are shared by every sweep running under the same configuration.
-func configKey(cfg core.Config) string {
-	cfg.Sim.Topology = arch.CanonicalTopologyName(cfg.Sim.Topology)
-	b, err := json.Marshal(cfg)
-	if err != nil {
-		panic("serve: config encoding: " + err.Error())
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// SweepID content-addresses a sweep: the hash of its configuration and
-// its sorted job-key set. Two manifests that enumerate the same work
-// under the same configuration get the same ID — however they spell it —
-// so resubmissions join the existing sweep instead of re-running it, and
-// the ID is stable across server restarts.
-func SweepID(cfg core.Config, jobs []sweep.Job) string {
-	keys := make([]string, len(jobs))
+// SweepID content-addresses a sweep: the hash of its configuration key
+// and its sorted job-key set, all from one key space. Two manifests that
+// enumerate the same work under the same configuration get the same ID —
+// however they spell it — so resubmissions join the existing sweep
+// instead of re-running it, and the ID is stable across server restarts.
+func SweepID(keys *sweep.KeySpace, jobs []sweep.Job) string {
+	sorted := make([]string, len(jobs))
 	for i, j := range jobs {
-		keys[i] = sweep.Key(cfg, j)
+		sorted[i] = keys.Key(j)
 	}
-	sort.Strings(keys)
+	sort.Strings(sorted)
 	h := sha256.New()
-	io.WriteString(h, configKey(cfg))
-	for _, k := range keys {
+	io.WriteString(h, keys.ConfigKey())
+	for _, k := range sorted {
 		io.WriteString(h, k)
 	}
 	return "sw-" + hex.EncodeToString(h.Sum(nil))[:24]
@@ -297,18 +284,19 @@ func SweepID(cfg core.Config, jobs []sweep.Job) string {
 // concurrent sweeps resolve exactly once. recCache sizes the
 // recorded-stream cache when this call creates the engine; later sweeps
 // joining the same configuration keep the creator's sizing.
-func (s *Server) engine(cfg core.Config, recCache int) *sweep.Engine {
-	if s.TrainWorkers > 0 {
-		cfg.TrainWorkers = s.TrainWorkers
-	}
-	// configKey hashes cfg's JSON encoding, which excludes TrainWorkers
-	// (an execution knob): manifests differing only in train_workers
-	// share one engine, keeping the exactly-once dedup intact.
-	key := configKey(cfg)
+func (s *Server) engine(keys *sweep.KeySpace, recCache int) *sweep.Engine {
+	// The config key excludes TrainWorkers (an execution knob):
+	// manifests differing only in train_workers share one engine,
+	// keeping the exactly-once dedup intact.
+	key := keys.ConfigKey()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.engines[key]; ok {
 		return e
+	}
+	cfg := keys.Config()
+	if s.TrainWorkers > 0 {
+		cfg.TrainWorkers = s.TrainWorkers
 	}
 	e := sweep.New(cfg)
 	e.RecordingCache = recCache
@@ -328,8 +316,8 @@ func (s *Server) engine(cfg core.Config, recCache int) *sweep.Engine {
 // the sweep and whether this call created it; a non-nil *apiError is an
 // admission rejection.
 func (s *Server) submit(m *sweep.Manifest, jobs []sweep.Job) (*sweepRun, bool, *apiError) {
-	cfg := m.Config()
-	id := SweepID(cfg, jobs)
+	keys := sweep.NewKeySpace(m.Config())
+	id := SweepID(keys, jobs)
 
 	s.mu.Lock()
 	// The draining check happens under mu — the same lock Drain flips
@@ -385,7 +373,7 @@ func (s *Server) submit(m *sweep.Manifest, jobs []sweep.Job) (*sweepRun, bool, *
 		}
 	}
 	s.pending.Add(n)
-	r := newSweepRun(id, m, cfg, jobs)
+	r := newSweepRun(id, m, keys, jobs)
 	s.sweeps[id] = r
 	s.wg.Add(1)
 	s.mu.Unlock()
@@ -426,7 +414,7 @@ func (s *Server) runSweep(r *sweepRun) {
 		return
 	}
 	defer s.wg.Done()
-	eng := s.engine(r.cfg, r.recCache)
+	eng := s.engine(r.keys, r.recCache)
 	phasesBefore := eng.Phases()
 	var sum sweep.Summary
 	_, engSum, err := eng.Run(context.Background(), r.jobs, sweep.WithPool(s.pool), sweep.WithOnDone(func(d sweep.JobDone) {

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -589,5 +590,34 @@ func TestTrainingArtifactsSharedAcrossSweeps(t *testing.T) {
 	}
 	if n := s.artifacts.Writes(); n != 2 {
 		t.Errorf("concurrent overlapping sweeps wrote %d artifacts, want exactly 2 (train-once)", n)
+	}
+}
+
+// TestSweepIDPinned pins sweep IDs: a daemon restarted on a new build
+// must give a resubmitted manifest the ID it had before, and the ID
+// embeds the config key and every job key, so this also pins the key
+// spaces under it.
+func TestSweepIDPinned(t *testing.T) {
+	jobs := []sweep.Job{
+		{Bench: "gzip", Policy: sweep.PolicyBaseline},
+		{Bench: "gzip", Policy: sweep.PolicyScheme, Scheme: "L+F", Delta: 2.5},
+		{Bench: "mcf", Policy: sweep.PolicyOnline, Aggressiveness: 1.3},
+		{Bench: "mcf", Policy: sweep.PolicySingleClock, MHz: 600},
+	}
+	fine6 := core.DefaultConfig()
+	fine6.Sim.Topology = "fine6"
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		jobs []sweep.Job
+		want string
+	}{
+		{"default", core.DefaultConfig(), jobs, "sw-3940e51e0ffac6f2c7a1aae8"},
+		{"fine6", fine6, jobs, "sw-13b8492f6332054d5f3fed49"},
+		{"empty", core.DefaultConfig(), nil, "sw-2ee773ea66ce0615b3f3dc2c"},
+	} {
+		if got := SweepID(sweep.NewKeySpace(tc.cfg), tc.jobs); got != tc.want {
+			t.Errorf("%s: SweepID = %s, want pinned %s", tc.name, got, tc.want)
+		}
 	}
 }

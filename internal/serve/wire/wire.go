@@ -89,13 +89,19 @@ const (
 )
 
 // DecodeStrict decodes one frame with unknown fields rejected and the
-// protocol version enforced. A nil return means v is populated and
-// speaks this package's Proto.
+// protocol version enforced. The frame must be the whole of data: only
+// JSON whitespace (such as the newline an HTTP body or NDJSON line ends
+// with) may follow it. A nil return means v is populated and speaks
+// this package's Proto.
 func DecodeStrict(data []byte, v any) *Error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return &Error{Code: CodeBadRequest, Message: "wire: " + err.Error()}
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return &Error{Code: CodeBadRequest,
+			Message: fmt.Sprintf("wire: %d bytes of trailing data after the frame", len(rest))}
 	}
 	if vv, ok := v.(interface{ Version() int }); ok {
 		if p := vv.Version(); p != Proto {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -61,6 +62,42 @@ func TestDecodeStrictRejectsMalformedJSON(t *testing.T) {
 	}
 }
 
+// TestDecodeStrictWholeFrame checks that a frame must be the entire
+// body: trailing garbage and a second frame are refused, trailing
+// whitespace is not, and an empty body is malformed.
+func TestDecodeStrictWholeFrame(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"trailing garbage", `{"proto":1,"seq":3}garbage`, false},
+		{"second frame", `{"proto":1,"seq":3}{"proto":1,"seq":4}`, false},
+		{"second frame after newline", "{\"proto\":1,\"seq\":3}\n{\"proto\":1,\"seq\":4}\n", false},
+		{"trailing bracket", `{"proto":1,"seq":3}}`, false},
+		{"trailing newline", "{\"proto\":1,\"seq\":3}\n", true},
+		{"trailing whitespace", "{\"proto\":1,\"seq\":3} \t\r\n ", true},
+		{"empty body", "", false},
+		{"whitespace body", " \n", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ev Event
+			werr := DecodeStrict([]byte(tc.body), &ev)
+			if tc.ok {
+				if werr != nil {
+					t.Fatalf("refused: %v", werr)
+				}
+				if ev.Seq != 3 {
+					t.Fatalf("seq = %d, want 3", ev.Seq)
+				}
+				return
+			}
+			if werr == nil || werr.Code != CodeBadRequest {
+				t.Fatalf("got %v, want a %s error", werr, CodeBadRequest)
+			}
+		})
+	}
+}
+
 func TestErrorRendersCodeAndField(t *testing.T) {
 	e := &Error{Code: CodeBadRequest, Message: "no such knob", Field: "benchmarks"}
 	s := e.Error()
@@ -68,5 +105,40 @@ func TestErrorRendersCodeAndField(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("error %q is missing %q", s, want)
 		}
+	}
+}
+
+// FuzzDecodeStrict feeds arbitrary bytes to the strict frame decoder as
+// each frame a client decodes from the server: a stream event, the
+// stream's terminal line, and the status a submission answers with. The
+// contract: a structured *Error with a known code, or a value that
+// re-encodes and decodes strictly to an equal value; never a panic.
+func FuzzDecodeStrict(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzRoundTrip[Event](t, data)
+		fuzzRoundTrip[StreamEnd](t, data)
+		fuzzRoundTrip[Status](t, data)
+	})
+}
+
+func fuzzRoundTrip[T any](t *testing.T, data []byte) {
+	t.Helper()
+	var v T
+	if werr := DecodeStrict(data, &v); werr != nil {
+		if werr.Code != CodeBadRequest && werr.Code != CodeProtoUnsupported {
+			t.Fatalf("%T: unknown error code %q", v, werr.Code)
+		}
+		return
+	}
+	enc, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("%T: decoded frame does not encode: %v", v, err)
+	}
+	var w T
+	if werr := DecodeStrict(enc, &w); werr != nil {
+		t.Fatalf("%T: re-encoded frame does not decode: %v\n%s", v, werr, enc)
+	}
+	if !reflect.DeepEqual(v, w) {
+		t.Fatalf("%T: round trip changed the frame:\n%+v\n%+v", v, v, w)
 	}
 }

@@ -193,7 +193,7 @@ func (w *Worker) engine(cfg core.Config, recCache int) *sweep.Engine {
 	if w.TrainWorkers > 0 {
 		cfg.TrainWorkers = w.TrainWorkers
 	}
-	key := configKey(cfg)
+	key := sweep.NewKeySpace(cfg).ConfigKey()
 	if e, ok := w.engines[key]; ok {
 		return e
 	}

@@ -3,8 +3,9 @@
 // artifact store, the packed-stream cache and the columnar segment
 // files. It owns the plumbing they share and nothing of their formats:
 //
-//   - keys are 64 lowercase hex characters (a SHA-256), checked in one
-//     place, so a malformed key is refused instead of reaching a path;
+//   - keys are 64 lowercase hex characters (a SHA-256), derived in one
+//     place (KeySpace, SumKey) and checked in one place (ValidKey), so a
+//     malformed key is refused instead of reaching a path;
 //   - an entry lives at <dir>/<key[:2]>/<key><ext>, under a two-hex
 //     fan-out directory;
 //   - a lookup is a Miss, a Hit or Corrupt, never an error to handle;
@@ -15,6 +16,9 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -52,6 +56,54 @@ func ValidKey(key string) bool {
 		}
 	}
 	return true
+}
+
+// KeySpace derives the keys of one family of content addresses that
+// share a long prefix — typically an encoded configuration that every
+// key under it embeds. The prefix is absorbed into a SHA-256 state once;
+// each key clones that state and hashes only its tail, so Key(tail) is
+// SumKey(prefix‖tail) at the cost of the tail alone. A KeySpace is
+// immutable and safe for concurrent use.
+type KeySpace struct {
+	state []byte // marshaled SHA-256 state after the prefix
+}
+
+// NewKeySpace returns the key space of the given prefix, the
+// concatenation of parts.
+func NewKeySpace(parts ...[]byte) *KeySpace {
+	h := sha256.New()
+	for _, p := range parts {
+		h.Write(p)
+	}
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("store: key space: " + err.Error())
+	}
+	return &KeySpace{state: state}
+}
+
+// Key returns the hex SHA-256 of the key space's prefix followed by
+// tail.
+func (k *KeySpace) Key(tail []byte) string {
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(k.state); err != nil {
+		panic("store: key space: " + err.Error())
+	}
+	h.Write(tail)
+	var sum [sha256.Size]byte
+	return hexKey(h.Sum(sum[:0]))
+}
+
+// SumKey returns the content-addressed key of b: its hex SHA-256.
+func SumKey(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hexKey(sum[:])
+}
+
+func hexKey(sum []byte) string {
+	var buf [2 * sha256.Size]byte
+	hex.Encode(buf[:], sum)
+	return string(buf[:])
 }
 
 // Path returns where the entry for key with extension ext lives under

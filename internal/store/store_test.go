@@ -189,3 +189,30 @@ func TestWalk(t *testing.T) {
 		t.Errorf("stopping walk: err %v after %d calls, want %v after 1", err, calls, stop)
 	}
 }
+
+// TestKeySpace checks that a key space's key is the plain SHA-256 of
+// prefix‖tail however the prefix is split into parts, across the
+// SHA-256 block boundary, and that a key space is reusable.
+func TestKeySpace(t *testing.T) {
+	msg := []byte(strings.Repeat("0123456789abcdefghijklmnopqrstuvwxyz", 8))
+	for _, cut := range []int{0, 1, 55, 63, 64, 65, 128, len(msg)} {
+		want := SumKey(msg)
+		prefix, tail := msg[:cut], msg[cut:]
+		for _, ks := range []*KeySpace{
+			NewKeySpace(prefix),
+			NewKeySpace(prefix[:cut/2], prefix[cut/2:]),
+		} {
+			for i := 0; i < 2; i++ {
+				if got := ks.Key(tail); got != want {
+					t.Fatalf("cut %d: Key = %s, want %s", cut, got, want)
+				}
+			}
+			if !ValidKey(want) {
+				t.Fatalf("SumKey %q is not a valid key", want)
+			}
+		}
+	}
+	if got, want := SumKey(nil), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"; got != want {
+		t.Fatalf("SumKey(nil) = %s, want %s", got, want)
+	}
+}

@@ -155,12 +155,12 @@ func (e *Engine) runWave(ctx context.Context, jobs []Job, idxs []int, report rep
 	}
 	start := time.Now()
 	var owned []*laneJob
-	var joined []int
+	var joined []laneJob
 	for _, i := range idxs {
-		key := Key(e.Cfg, jobs[i])
+		key := e.keys.Key(jobs[i])
 		f, mine := e.claimFlight(key)
 		if !mine {
-			joined = append(joined, i)
+			joined = append(joined, laneJob{idx: i, job: jobs[i], key: key})
 			continue
 		}
 		owned = append(owned, &laneJob{idx: i, job: jobs[i], key: key, f: f})
@@ -171,11 +171,10 @@ func (e *Engine) runWave(ctx context.Context, jobs []Job, idxs []int, report rep
 
 	// Joined jobs resolve through the keyed path: by now their flights
 	// are closed (or owned by a concurrent call), so this is a memo wait.
-	for _, i := range joined {
+	for _, j := range joined {
 		s := time.Now()
-		key := Key(e.Cfg, jobs[i])
-		out, src, err := e.doKeyed(key, jobs[i])
-		report(i, key, out, src, time.Since(s), err)
+		out, src, err := e.doKeyed(j.key, j.job)
+		report(j.idx, j.key, out, src, time.Since(s), err)
 	}
 }
 

@@ -40,7 +40,7 @@ func countEntries(t *testing.T, dir string) int {
 func TestAnchorColocation(t *testing.T) {
 	cfg := core.DefaultConfig()
 	for _, shards := range []int{2, 3, 5, 7} {
-		at := func(j Job) int { return shardOf(shardKey(cfg, j), shards) }
+		at := func(j Job) int { return shardOf(NewKeySpace(cfg).AnchorKey(j), shards) }
 
 		// The off-line chain: offline (all deltas), global, and the base
 		// single-clock run it is matched against share one shard.

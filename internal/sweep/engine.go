@@ -81,6 +81,8 @@ func (s Summary) String() string {
 type Engine struct {
 	// Cfg is the pipeline configuration every job runs under (job
 	// fields override individual knobs); it is part of every cache key.
+	// It is read-only after New, which builds the engine's key space
+	// from it.
 	Cfg core.Config
 	// Workers bounds Run's concurrency; 0 means GOMAXPROCS.
 	Workers int
@@ -134,6 +136,7 @@ type Engine struct {
 	// Set before first use.
 	Log *obs.Logger
 
+	keys     *KeySpace
 	execOnce sync.Once
 	exec     *executor
 
@@ -169,7 +172,7 @@ type flight struct {
 
 // New returns an engine over cfg with no persistent cache.
 func New(cfg core.Config) *Engine {
-	return &Engine{Cfg: cfg, flight: make(map[string]*flight)}
+	return &Engine{Cfg: cfg, keys: NewKeySpace(cfg), flight: make(map[string]*flight)}
 }
 
 // logger resolves the engine's warning channel (obs.Default when the
@@ -222,12 +225,11 @@ func (e *Engine) Do(job Job) (*Outcome, Source, error) {
 	if err := job.Validate(); err != nil {
 		return nil, SourceMemory, err
 	}
-	return e.doKeyed(Key(e.Cfg, job), job)
+	return e.doKeyed(e.keys.Key(job), job)
 }
 
 // doKeyed is Do after validation, for callers that already derived the
-// job's key (key derivation marshals the full config — not worth doing
-// twice per job). A job whose flight this call claims resolves as a
+// job's key. A job whose flight this call claims resolves as a
 // wave of one, through the same path as a lockstep unit's jobs.
 func (e *Engine) doKeyed(key string, job Job) (*Outcome, Source, error) {
 	f, mine := e.claimFlight(key)
@@ -564,8 +566,9 @@ func Merge(cfg core.Config, jobs []Job, c *Cache) ([]Merged, error) {
 	var out []Merged
 	var missing []error
 	seen := make(map[string]bool, len(jobs))
+	ks := NewKeySpace(cfg)
 	for _, j := range jobs {
-		key := Key(cfg, j)
+		key := ks.Key(j)
 		if seen[key] {
 			continue
 		}

@@ -213,7 +213,7 @@ func (x *executor) profile(spec ProfileSpec) (*core.Profile, error) {
 	if _, ok := SchemeByName(spec.Scheme); !ok {
 		return nil, fmt.Errorf("unknown context scheme %q", spec.Scheme)
 	}
-	key := spec.ArtifactKey(x.eng.Cfg)
+	key := x.eng.keys.ArtifactKey(spec)
 	start := time.Now()
 	claimed := x.profileBatch([]ProfileSpec{spec}) > 0
 	x.mu.Lock()
@@ -315,7 +315,7 @@ func (x *executor) profileBatch(specs []ProfileSpec) int {
 		if _, ok := SchemeByName(spec.Scheme); b == nil || !ok {
 			continue
 		}
-		key := spec.ArtifactKey(x.eng.Cfg)
+		key := x.eng.keys.ArtifactKey(spec)
 		if _, exists := x.profiles[key]; exists {
 			continue
 		}

@@ -17,15 +17,10 @@
 package sweep
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 
-	"repro/internal/arch"
 	"repro/internal/calltree"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -130,95 +125,4 @@ type Outcome struct {
 	// reconfiguration and path-tracking points (PolicyScheme).
 	StaticReconfig int `json:"static_reconfig,omitempty"`
 	StaticInstr    int `json:"static_instr,omitempty"`
-}
-
-// keySchema versions the key derivation; bump it when the hashed
-// payload's meaning changes so stale cache entries cannot be mistaken
-// for current ones. It is independent of artifact.SchemaVersion: the
-// artifact schema can move without invalidating result keys.
-const keySchema = 1
-
-// Key returns the content-addressed cache key of a job under a
-// configuration: a hex SHA-256 of the canonical JSON encoding of
-// (schema, config, job). encoding/json serializes struct fields in
-// declaration order, so the encoding — and therefore the key — is
-// deterministic across runs and processes of the same build. The
-// configuration's topology name is canonicalized first: the default
-// topology is hashed as absent, so pre-topology cache entries keep
-// their keys, while non-default topologies hash into the key space.
-func Key(cfg core.Config, job Job) string {
-	cfg.Sim.Topology = arch.CanonicalTopologyName(cfg.Sim.Topology)
-	payload := struct {
-		Schema int         `json:"schema"`
-		Config core.Config `json:"config"`
-		Job    Job         `json:"job"`
-	}{keySchema, cfg, job.canonical(cfg)}
-	b, err := json.Marshal(payload)
-	if err != nil {
-		// core.Config and Job are plain data; this cannot fail.
-		panic("sweep: key encoding: " + err.Error())
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// shardOf maps a key to a shard index in [0, shards).
-func shardOf(key string, shards int) int {
-	v, err := strconv.ParseUint(key[:16], 16, 64)
-	if err != nil {
-		panic("sweep: malformed key " + key)
-	}
-	return int(v % uint64(shards))
-}
-
-// shardKey returns the key a job is shard-assigned by: its policy's
-// shard anchor, followed transitively. A job with no anchor places by
-// its own key; a job anchored to a trained profile places by that
-// profile's artifact key — so every job that resolves (or feeds) one
-// training lands on the shard that owns it, and a cold fleet executes
-// each training, and each shared dependency run, exactly once.
-func shardKey(cfg core.Config, j Job) string {
-	// The anchor chain is at most (job -> dependency job -> artifact);
-	// the depth bound guards against a misregistered policy cycle.
-	for depth := 0; depth < 8; depth++ {
-		p, ok := PolicyByName(j.Policy)
-		if !ok {
-			break
-		}
-		d := p.ShardAnchor(cfg, j)
-		if d == nil {
-			break
-		}
-		if d.Profile != nil {
-			return d.Profile.ArtifactKey(cfg)
-		}
-		j = *d.Job
-	}
-	return Key(cfg, j)
-}
-
-// AnchorKey returns the key a job is placement-assigned by — its
-// policy's shard anchor followed transitively (job → dependency job →
-// trained profile's artifact key), or the job's own key when it has no
-// anchor. It is the grouping unit shared by static sharding (Shard) and
-// fleet lease assignment: all jobs with equal anchor keys resolve (or
-// feed) the same training, so a scheduler that never splits an anchor
-// group trains each profile exactly once.
-func AnchorKey(cfg core.Config, j Job) string { return shardKey(cfg, j) }
-
-// Shard returns the subset of jobs owned by shard index out of shards
-// total, assigned by stable anchor-key hash: every job belongs to
-// exactly one shard, and the assignment depends only on (config, job),
-// never on slice order. shards <= 1 returns jobs unchanged.
-func Shard(cfg core.Config, jobs []Job, shards, index int) []Job {
-	if shards <= 1 {
-		return jobs
-	}
-	var out []Job
-	for _, j := range jobs {
-		if shardOf(shardKey(cfg, j), shards) == index {
-			out = append(out, j)
-		}
-	}
-	return out
 }

@@ -73,8 +73,9 @@ func (s MergeSource) Has(key string) bool {
 func mergePlan(cfg core.Config, jobs []Job) []Merged {
 	plan := make([]Merged, 0, len(jobs))
 	seen := make(map[string]bool, len(jobs))
+	ks := NewKeySpace(cfg)
 	for _, j := range jobs {
-		key := Key(cfg, j)
+		key := ks.Key(j)
 		if seen[key] {
 			continue
 		}

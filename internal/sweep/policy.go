@@ -69,14 +69,19 @@ func (s ProfileSpec) inputWindow(b *workload.Benchmark) (string, int64) {
 }
 
 // ArtifactKey returns the content-addressed artifact-store key of the
-// spec's trained profile under a configuration.
+// spec's trained profile under a configuration. Callers keying several
+// specs under one configuration use KeySpace.ArtifactKey.
 func (s ProfileSpec) ArtifactKey(cfg core.Config) string {
+	return s.artifactKey(artifact.NewKeySpace(cfg))
+}
+
+func (s ProfileSpec) artifactKey(ks *artifact.KeySpace) string {
 	b := workload.ByName(s.Bench)
 	if b == nil {
 		panic("sweep: profile spec names unknown benchmark " + s.Bench)
 	}
 	input, window := s.inputWindow(b)
-	return artifact.ProfileKey(cfg, s.Bench, s.Scheme, input, window)
+	return ks.ProfileKey(s.Bench, s.Scheme, input, window)
 }
 
 // Resolved is one resolved dependency: Outcome for job deps, Profile for
@@ -152,11 +157,11 @@ func Policies() []string {
 
 // reachableFrom accumulates the result, artifact, and stream keys in a
 // job's dependency closure (the job's own key included).
-func reachableFrom(cfg core.Config, j Job, results, artifacts, streams map[string]bool) error {
+func reachableFrom(ks *KeySpace, j Job, results, artifacts, streams map[string]bool) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
-	key := Key(cfg, j)
+	key := ks.Key(j)
 	if results[key] {
 		return nil
 	}
@@ -169,9 +174,9 @@ func reachableFrom(cfg core.Config, j Job, results, artifacts, streams map[strin
 	if !ok {
 		return fmt.Errorf("sweep: unknown policy %q", j.Policy)
 	}
-	for _, d := range p.Deps(cfg, j) {
+	for _, d := range p.Deps(ks.cfg, j) {
 		if d.Profile != nil {
-			artifacts[d.Profile.ArtifactKey(cfg)] = true
+			artifacts[ks.ArtifactKey(*d.Profile)] = true
 			// Cold trainings replay the spec's training (or, for the
 			// oracle, reference) stream.
 			if b := workload.ByName(d.Profile.Bench); b != nil {
@@ -179,7 +184,7 @@ func reachableFrom(cfg core.Config, j Job, results, artifacts, streams map[strin
 			}
 			continue
 		}
-		if err := reachableFrom(cfg, *d.Job, results, artifacts, streams); err != nil {
+		if err := reachableFrom(ks, *d.Job, results, artifacts, streams); err != nil {
 			return err
 		}
 	}
@@ -194,8 +199,9 @@ func Reachable(cfg core.Config, jobs []Job) (results, artifacts, streams map[str
 	results = make(map[string]bool)
 	artifacts = make(map[string]bool)
 	streams = make(map[string]bool)
+	ks := NewKeySpace(cfg)
 	for _, j := range jobs {
-		if err := reachableFrom(cfg, j, results, artifacts, streams); err != nil {
+		if err := reachableFrom(ks, j, results, artifacts, streams); err != nil {
 			return nil, nil, nil, err
 		}
 	}

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -67,7 +66,7 @@ func StreamKey(b *workload.Benchmark, ref bool) string {
 		// Spec and Input are plain data; this cannot fail.
 		panic("sweep: stream key encoding: " + err.Error())
 	}
-	return fmt.Sprintf("%x", sha256.Sum256(j))
+	return store.SumKey(j)
 }
 
 // EntryPath returns the path a stream is stored at, or an error for a

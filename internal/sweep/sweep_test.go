@@ -141,8 +141,8 @@ func TestShardPartition(t *testing.T) {
 		// A global job must land with its off-line dependency so cold
 		// sharded runs never train the same oracle twice.
 		cfg := core.DefaultConfig()
-		g := shardOf(shardKey(cfg, Job{Bench: "mcf", Policy: PolicyGlobal}), shards)
-		o := shardOf(shardKey(cfg, Job{Bench: "mcf", Policy: PolicyOffline}), shards)
+		g := shardOf(NewKeySpace(cfg).AnchorKey(Job{Bench: "mcf", Policy: PolicyGlobal}), shards)
+		o := shardOf(NewKeySpace(cfg).AnchorKey(Job{Bench: "mcf", Policy: PolicyOffline}), shards)
 		if g != o {
 			t.Errorf("shards=%d: global in shard %d but its offline dependency in shard %d", shards, g, o)
 		}
