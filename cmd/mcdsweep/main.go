@@ -75,7 +75,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -257,10 +256,11 @@ func main() {
 		// from the columnar segments (JSON fallback per key) without
 		// materializing the result set.
 		src := sweep.SourceFor(*cacheDir)
-		if err := sweep.MergeCheck(cfg, jobs, src); err != nil {
+		plan := sweep.NewKeySpace(cfg).Plan(jobs)
+		if err := plan.Check(src); err != nil {
 			fatal(err.Error())
 		}
-		if err := streamMerge(*out, cfg, jobs, src); err != nil {
+		if err := streamMerge(*out, plan, src); err != nil {
 			fatal(err.Error())
 		}
 
@@ -460,11 +460,11 @@ func writeMergeOutput(out string, b []byte) {
 // streamMerge writes the streaming merge to stdout or, for -o,
 // atomically so a mid-stream failure never leaves a partial output file
 // behind.
-func streamMerge(out string, cfg core.Config, jobs []sweep.Job, src sweep.MergeSource) error {
+func streamMerge(out string, plan *sweep.Plan, src sweep.MergeSource) error {
 	if out == "" {
-		return sweep.MergeTo(os.Stdout, cfg, jobs, src)
+		return plan.WriteJSON(os.Stdout, src)
 	}
-	return store.WriteFile(out, func(w io.Writer) error { return sweep.MergeTo(w, cfg, jobs, src) })
+	return store.WriteFile(out, func(w io.Writer) error { return plan.WriteJSON(w, src) })
 }
 
 func usage() {

@@ -145,7 +145,7 @@ func init() {
 				// every round pays the segment scan, decode and stream.
 				src := sweep.SourceFor(segDir)
 				var w countingDiscard
-				if err := sweep.MergeTo(&w, m.Config(), jobs, src); err != nil {
+				if err := sweep.NewKeySpace(m.Config()).Plan(jobs).WriteJSON(&w, src); err != nil {
 					return 0, err
 				}
 				if w.n == 0 {

@@ -209,20 +209,23 @@ func (s *Server) handleStream(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	for {
-		evs, done, wait := r.next(from)
-		for i := range evs {
-			if err := enc.Encode(&evs[i]); err != nil {
+		lines, done, wait := r.next(from)
+		for _, line := range lines {
+			// A nil line is an event that did not encode (see append).
+			if line == nil {
+				return
+			}
+			if _, err := w.Write(line); err != nil {
 				return
 			}
 		}
-		from += len(evs)
+		from += len(lines)
 		if flusher != nil {
 			flusher.Flush()
 		}
 		if done {
-			enc.Encode(wire.StreamEnd{Versioned: wire.Stamp(), Done: true, Status: r.status()})
+			json.NewEncoder(w).Encode(wire.StreamEnd{Versioned: wire.Stamp(), Done: true, Status: r.status()})
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -269,7 +272,7 @@ func (s *Server) handleResults(w http.ResponseWriter, req *http.Request) {
 	// is still a clean structured error.
 	s.segments.Refresh()
 	src := sweep.MergeSource{Cache: s.cache, Segments: s.segments}
-	if err := sweep.MergeCheck(r.keys.Config(), r.jobs, src); err != nil {
+	if err := r.plan.Check(src); err != nil {
 		writeError(w, &apiError{status: http.StatusInternalServerError, Code: "merge_failed",
 			Message: err.Error()})
 		return
@@ -277,12 +280,12 @@ func (s *Server) handleResults(w http.ResponseWriter, req *http.Request) {
 	if format == "ndjson" {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
-		sweep.MergeNDJSON(w, r.keys.Config(), r.jobs, src)
+		r.plan.WriteNDJSON(w, src)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	sweep.MergeTo(w, r.keys.Config(), r.jobs, src)
+	r.plan.WriteJSON(w, src)
 }
 
 // handleTrace streams a sweep's execution spans as NDJSON: the tracer
@@ -318,7 +321,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, req *http.Request) {
 	// keys. Span identity never feeds any of those keys — this is a
 	// read-side projection only.
 	keep := func(string) bool { return true }
-	if results, artifacts, streams, err := sweep.Reachable(r.keys.Config(), r.jobs); err == nil {
+	if results, artifacts, streams, err := sweep.Reachable(r.plan.Space().Config(), r.jobs); err == nil {
 		keep = func(k string) bool {
 			return k == "" || results[k] || artifacts[k] || streams[k]
 		}

@@ -148,26 +148,15 @@ func (c *Client) Follow(id string, from int, onEvent func(Event)) (*Status, erro
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		// The terminal line is {"done":true,"status":{...}}; every other
-		// line is an Event. Probe leniently, then decode strictly.
-		var probe struct {
-			Done bool `json:"done"`
+		var ev Event
+		end, werr := decodeLine(line, &ev)
+		if werr != nil {
+			return nil, fmt.Errorf("server: stream line: %w", werr)
 		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return nil, fmt.Errorf("server: stream line: %w", err)
-		}
-		if probe.Done {
-			var end wire.StreamEnd
-			if werr := wire.DecodeStrict(line, &end); werr != nil {
-				return nil, fmt.Errorf("server: stream end: %w", werr)
-			}
+		if end != nil {
 			return &end.Status, nil
 		}
 		if onEvent != nil {
-			var ev Event
-			if werr := wire.DecodeStrict(line, &ev); werr != nil {
-				return nil, fmt.Errorf("server: stream event: %w", werr)
-			}
 			onEvent(ev)
 		}
 	}
@@ -175,6 +164,29 @@ func (c *Client) Follow(id string, from int, onEvent func(Event)) (*Status, erro
 		return nil, fmt.Errorf("server: stream: %w", err)
 	}
 	return nil, errors.New("server: stream ended without a terminal status (connection dropped?)")
+}
+
+// decodeLine classifies one stream line with one strict decode: an
+// Event, decoded into ev, or the terminal {"done":true,"status":{...}}
+// line, returned as end. Only a line that fails as an event is tried as
+// the terminal one, so every event is decoded once, and a line that is
+// neither reports the event's error, unless it declares done, when it
+// reports the terminal frame's.
+func decodeLine(line []byte, ev *Event) (end *wire.StreamEnd, werr *wire.Error) {
+	werr = wire.DecodeStrict(line, ev)
+	if werr == nil {
+		return nil, nil
+	}
+	var e wire.StreamEnd
+	// A failed strict decode still fills what it could, so Done reads
+	// the line's done member whenever the line is valid JSON.
+	if eerr := wire.DecodeStrict(line, &e); e.Done {
+		if eerr != nil {
+			return nil, eerr
+		}
+		return &e, nil
+	}
+	return nil, werr
 }
 
 // Results fetches a completed sweep's merged results — byte-identical

@@ -602,7 +602,7 @@ func (s *Server) runSweepFleet(r *sweepRun) {
 			complete(sweep.JobDone{Index: i, Job: job, Source: sweep.SourceMemory, Err: err})
 			continue
 		}
-		key := r.keys.Key(job)
+		key := r.plan.Space().Key(job)
 		// The columnar layer answers first: one O(1) in-memory lookup
 		// against segments synced by workers (or sealed by local runs)
 		// instead of a JSON decode per job.
@@ -629,7 +629,7 @@ func (s *Server) runSweepFleet(r *sweepRun) {
 		misses = append(misses, enqueueItem{job: job, key: key, w: waiter{index: i, cb: complete}})
 	}
 	if len(misses) > 0 {
-		f.enqueue(r.keys, r.recCache, misses)
+		f.enqueue(r.plan.Space(), r.recCache, misses)
 	}
 	if len(r.jobs) > 0 {
 		<-done

@@ -427,11 +427,11 @@ func TestFleetSegmentSyncByteIdentity(t *testing.T) {
 		}
 	}
 	src := sweep.SourceFor(dir)
-	if err := sweep.MergeCheck(cfg, jobs, src); err != nil {
+	if err := sweep.NewKeySpace(cfg).Plan(jobs).Check(src); err != nil {
 		t.Fatalf("merge check over segments alone: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := sweep.MergeTo(&buf, cfg, jobs, src); err != nil {
+	if err := sweep.NewKeySpace(cfg).Plan(jobs).WriteJSON(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {

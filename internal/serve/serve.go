@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,23 +143,34 @@ type Status = wire.Status
 // completion order (wire.Event re-exported; see Status).
 type Event = wire.Event
 
-// sweepRun is one registered sweep: its jobs, completion-ordered events,
-// and a broadcast channel streamers wait on.
+// sweepRun is one registered sweep: its jobs, completion-ordered event
+// log, and a broadcast channel streamers wait on.
 type sweepRun struct {
 	id   string
 	name string
-	// keys is the sweep configuration's key space; keys.Config() is the
-	// configuration.
-	keys *sweep.KeySpace
 	jobs []sweep.Job
+	// plan is the jobs' keys, derived once at submission: it gives the
+	// sweep ID and serves every /results request. plan.Space() is the
+	// sweep configuration's key space, and its Config() the
+	// configuration.
+	plan *sweep.Plan
 	// recCache is the manifest's recorded-stream cache override; it is
 	// an execution knob (not part of the config or the sweep ID)
 	// applied when this sweep is the first to create its
 	// configuration's engine.
 	recCache int
 
-	mu      sync.Mutex
-	events  []Event
+	// appendMu serializes appenders, so each event is encoded with its
+	// seq outside mu: streamers and status readers never wait on an
+	// encode. buf is the appenders' scratch encoding buffer.
+	appendMu sync.Mutex
+	buf      []byte
+
+	mu sync.Mutex
+	// lines is the event log: lines[seq] is event seq's NDJSON line,
+	// encoded once when its job completed. Lines are never modified
+	// once appended, so streamers share them without copying.
+	lines   [][]byte
 	changed chan struct{}
 	done    bool
 	summary sweep.Summary
@@ -168,12 +178,12 @@ type sweepRun struct {
 	err     error
 }
 
-func newSweepRun(id string, m *sweep.Manifest, keys *sweep.KeySpace, jobs []sweep.Job) *sweepRun {
+func newSweepRun(id string, m *sweep.Manifest, plan *sweep.Plan, jobs []sweep.Job) *sweepRun {
 	return &sweepRun{
 		id:       id,
 		name:     m.Name,
-		keys:     keys,
 		jobs:     jobs,
+		plan:     plan,
 		recCache: m.RecordingCache,
 		changed:  make(chan struct{}),
 	}
@@ -192,9 +202,20 @@ func (r *sweepRun) append(d sweep.JobDone) {
 	if d.Err != nil {
 		ev.Error = d.Err.Error()
 	}
+	r.appendMu.Lock()
+	defer r.appendMu.Unlock()
+	// Only appenders grow lines, and they hold appendMu.
+	ev.Seq = len(r.lines)
+	// An event that does not encode (a non-finite float) is logged as a
+	// nil line, which ends every stream that reaches it, as a failed
+	// json.Encoder.Encode did.
+	var line []byte
+	if b, err := ev.AppendLine(r.buf[:0]); err == nil {
+		r.buf = b
+		line = append(make([]byte, 0, len(b)), b...)
+	}
 	r.mu.Lock()
-	ev.Seq = len(r.events)
-	r.events = append(r.events, ev)
+	r.lines = append(r.lines, line)
 	close(r.changed)
 	r.changed = make(chan struct{})
 	r.mu.Unlock()
@@ -214,21 +235,24 @@ func (r *sweepRun) finish(sum sweep.Summary, phases *sweep.PhaseBreakdown, err e
 	r.mu.Unlock()
 }
 
-// next returns the events at and after from, whether the sweep is fully
-// drained at that point, and a channel that closes on the next change.
-func (r *sweepRun) next(from int) (evs []Event, done bool, wait <-chan struct{}) {
+// next returns the encoded event lines at and after from, whether the
+// sweep is fully drained at that point, and a channel that closes on the
+// next change. The lines are the log's own, shared without copying;
+// callers must not modify them.
+func (r *sweepRun) next(from int) (lines [][]byte, done bool, wait <-chan struct{}) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if from < 0 {
 		from = 0
 	}
-	if from < len(r.events) {
-		evs = append(evs, r.events[from:]...)
+	n := len(r.lines)
+	if from < n {
+		lines = r.lines[from:n:n]
 	}
 	// >= rather than ==: a finished sweep must report done even for an
 	// overshot from (a client that miscounted), or the streamer would
 	// wait forever on a changed channel that never closes again.
-	return evs, r.done && from+len(evs) >= len(r.events), r.changed
+	return lines, r.done && from+len(lines) >= n, r.changed
 }
 
 // status snapshots the sweep's progress.
@@ -240,7 +264,7 @@ func (r *sweepRun) status() Status {
 		ID:        r.id,
 		Name:      r.name,
 		Jobs:      len(r.jobs),
-		Done:      len(r.events),
+		Done:      len(r.lines),
 		State:     StateRunning,
 	}
 	if r.done {
@@ -260,19 +284,15 @@ func (r *sweepRun) status() Status {
 }
 
 // SweepID content-addresses a sweep: the hash of its configuration key
-// and its sorted job-key set, all from one key space. Two manifests that
-// enumerate the same work under the same configuration get the same ID —
-// however they spell it — so resubmissions join the existing sweep
-// instead of re-running it, and the ID is stable across server restarts.
-func SweepID(keys *sweep.KeySpace, jobs []sweep.Job) string {
-	sorted := make([]string, len(jobs))
-	for i, j := range jobs {
-		sorted[i] = keys.Key(j)
-	}
-	sort.Strings(sorted)
+// and its sorted job keys (one per job, so a repeated job counts twice),
+// all from the plan's key space. Two manifests that enumerate the same
+// work under the same configuration get the same ID — however they spell
+// it — so resubmissions join the existing sweep instead of re-running
+// it, and the ID is stable across server restarts.
+func SweepID(plan *sweep.Plan) string {
 	h := sha256.New()
-	io.WriteString(h, keys.ConfigKey())
-	for _, k := range sorted {
+	io.WriteString(h, plan.Space().ConfigKey())
+	for _, k := range plan.Keys() {
 		io.WriteString(h, k)
 	}
 	return "sw-" + hex.EncodeToString(h.Sum(nil))[:24]
@@ -316,8 +336,8 @@ func (s *Server) engine(keys *sweep.KeySpace, recCache int) *sweep.Engine {
 // the sweep and whether this call created it; a non-nil *apiError is an
 // admission rejection.
 func (s *Server) submit(m *sweep.Manifest, jobs []sweep.Job) (*sweepRun, bool, *apiError) {
-	keys := sweep.NewKeySpace(m.Config())
-	id := SweepID(keys, jobs)
+	plan := sweep.NewKeySpace(m.Config()).Plan(jobs)
+	id := SweepID(plan)
 
 	s.mu.Lock()
 	// The draining check happens under mu — the same lock Drain flips
@@ -373,7 +393,7 @@ func (s *Server) submit(m *sweep.Manifest, jobs []sweep.Job) (*sweepRun, bool, *
 		}
 	}
 	s.pending.Add(n)
-	r := newSweepRun(id, m, keys, jobs)
+	r := newSweepRun(id, m, plan, jobs)
 	s.sweeps[id] = r
 	s.wg.Add(1)
 	s.mu.Unlock()
@@ -414,7 +434,7 @@ func (s *Server) runSweep(r *sweepRun) {
 		return
 	}
 	defer s.wg.Done()
-	eng := s.engine(r.keys, r.recCache)
+	eng := s.engine(r.plan.Space(), r.recCache)
 	phasesBefore := eng.Phases()
 	var sum sweep.Summary
 	_, engSum, err := eng.Run(context.Background(), r.jobs, sweep.WithPool(s.pool), sweep.WithOnDone(func(d sweep.JobDone) {

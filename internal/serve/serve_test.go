@@ -606,6 +606,15 @@ func TestSweepIDPinned(t *testing.T) {
 	}
 	fine6 := core.DefaultConfig()
 	fine6.Sim.Topology = "fine6"
+	// A repeated job counts once per occurrence: the ID hashes every
+	// job's key, not the key set.
+	repeated := []sweep.Job{
+		{Bench: "gzip", Policy: sweep.PolicyBaseline},
+		{Bench: "mcf", Policy: sweep.PolicyOnline, Aggressiveness: 1.3},
+		{Bench: "gzip", Policy: sweep.PolicyBaseline},
+		{Bench: "gzip", Policy: sweep.PolicyScheme, Scheme: "L+F", Delta: 2.5},
+		{Bench: "gzip", Policy: sweep.PolicyBaseline},
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  core.Config
@@ -615,8 +624,10 @@ func TestSweepIDPinned(t *testing.T) {
 		{"default", core.DefaultConfig(), jobs, "sw-3940e51e0ffac6f2c7a1aae8"},
 		{"fine6", fine6, jobs, "sw-13b8492f6332054d5f3fed49"},
 		{"empty", core.DefaultConfig(), nil, "sw-2ee773ea66ce0615b3f3dc2c"},
+		{"repeated", core.DefaultConfig(), repeated, "sw-a60381a8364a155ead159381"},
+		{"repeated-once", core.DefaultConfig(), repeated[:2], "sw-d63e85e60c8d74390e206db2"},
 	} {
-		if got := SweepID(sweep.NewKeySpace(tc.cfg), tc.jobs); got != tc.want {
+		if got := SweepID(sweep.NewKeySpace(tc.cfg).Plan(tc.jobs)); got != tc.want {
 			t.Errorf("%s: SweepID = %s, want pinned %s", tc.name, got, tc.want)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -160,6 +161,40 @@ type Event struct {
 	Elapsed int64          `json:"elapsed_ns"`
 	Error   string         `json:"error,omitempty"`
 	Outcome *sweep.Outcome `json:"outcome,omitempty"`
+}
+
+// AppendLine appends ev's NDJSON stream line to dst: exactly the bytes
+// json.NewEncoder(w).Encode(ev) writes, trailing newline included, from
+// the sweep package's direct encoder instead of reflection. The members
+// follow Event's field order and omitempty tags; the differential test
+// in encode_test.go holds the two equal.
+func (ev *Event) AppendLine(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"proto":`...)
+	dst = strconv.AppendInt(dst, int64(ev.Proto), 10)
+	dst = append(dst, `,"seq":`...)
+	dst = strconv.AppendInt(dst, int64(ev.Seq), 10)
+	dst = append(dst, `,"job":`...)
+	dst, err := sweep.AppendJobJSON(dst, ev.Job)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"key":`...)
+	dst = sweep.AppendJSONString(dst, ev.Key)
+	dst = append(dst, `,"source":`...)
+	dst = sweep.AppendJSONString(dst, ev.Source)
+	dst = append(dst, `,"elapsed_ns":`...)
+	dst = strconv.AppendInt(dst, ev.Elapsed, 10)
+	if ev.Error != "" {
+		dst = append(dst, `,"error":`...)
+		dst = sweep.AppendJSONString(dst, ev.Error)
+	}
+	if ev.Outcome != nil {
+		dst = append(dst, `,"outcome":`...)
+		if dst, err = sweep.AppendOutcomeJSON(dst, ev.Outcome); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}', '\n'), nil
 }
 
 // StreamEnd is the NDJSON stream's terminal line.

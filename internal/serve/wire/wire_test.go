@@ -112,23 +112,26 @@ func TestErrorRendersCodeAndField(t *testing.T) {
 // each frame a client decodes from the server: a stream event, the
 // stream's terminal line, and the status a submission answers with. The
 // contract: a structured *Error with a known code, or a value that
-// re-encodes and decodes strictly to an equal value; never a panic.
+// re-encodes and decodes strictly to an equal value; never a panic. A
+// decoded event's direct-encoded line must also equal json.Encoder's.
 func FuzzDecodeStrict(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzRoundTrip[Event](t, data)
+		if ev, ok := fuzzRoundTrip[Event](t, data); ok {
+			checkLine(t, "decoded event", ev)
+		}
 		fuzzRoundTrip[StreamEnd](t, data)
 		fuzzRoundTrip[Status](t, data)
 	})
 }
 
-func fuzzRoundTrip[T any](t *testing.T, data []byte) {
+func fuzzRoundTrip[T any](t *testing.T, data []byte) (T, bool) {
 	t.Helper()
 	var v T
 	if werr := DecodeStrict(data, &v); werr != nil {
 		if werr.Code != CodeBadRequest && werr.Code != CodeProtoUnsupported {
 			t.Fatalf("%T: unknown error code %q", v, werr.Code)
 		}
-		return
+		return v, false
 	}
 	enc, err := json.Marshal(v)
 	if err != nil {
@@ -141,4 +144,5 @@ func fuzzRoundTrip[T any](t *testing.T, data []byte) {
 	if !reflect.DeepEqual(v, w) {
 		t.Fatalf("%T: round trip changed the frame:\n%+v\n%+v", v, v, w)
 	}
+	return v, true
 }

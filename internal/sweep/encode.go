@@ -19,10 +19,10 @@ import (
 // encode_test.go checks against json.Marshal/MarshalIndent exhaustively.
 
 // mergedEncoder accumulates one encoded row. prefix is the per-line
-// prefix of the indented form (MergeTo rows sit one element deep in the
+// prefix of the indented form (WriteJSON rows sit one element deep in the
 // output array, so it passes " "); the indent unit is one space, matching
 // MergeBytes' MarshalIndent(v, prefix, " "). With indent=false it emits
-// the compact form json.Marshal produces (MergeNDJSON lines).
+// the compact form json.Marshal produces (WriteNDJSON lines).
 type mergedEncoder struct {
 	buf    []byte
 	prefix string
@@ -317,4 +317,30 @@ func appendMerged(dst []byte, m Merged, prefix string, indent bool) ([]byte, err
 	e.nl(0)
 	e.buf = append(e.buf, '}')
 	return e.buf, nil
+}
+
+// The compact form for frames outside this package: the serving
+// protocol's stream event (wire.Event) embeds a job, an outcome and
+// strings, and encodes them with this encoder rather than reflection.
+
+// AppendJobJSON appends json.Marshal(j)'s bytes to dst.
+func AppendJobJSON(dst []byte, j Job) ([]byte, error) {
+	e := mergedEncoder{buf: dst}
+	err := e.job(j)
+	return e.buf, err
+}
+
+// AppendOutcomeJSON appends json.Marshal(o)'s bytes to dst; a nil o is
+// null.
+func AppendOutcomeJSON(dst []byte, o *Outcome) ([]byte, error) {
+	e := mergedEncoder{buf: dst}
+	err := e.outcome(o)
+	return e.buf, err
+}
+
+// AppendJSONString appends json.Marshal(s)'s bytes to dst.
+func AppendJSONString(dst []byte, s string) []byte {
+	e := mergedEncoder{buf: dst}
+	e.str(s)
+	return e.buf
 }

@@ -19,9 +19,9 @@ import (
 
 // FuzzParseManifest feeds arbitrary bytes to the manifest parser every
 // submission surface shares, then validates what parses. The contract:
-// a structured *ValidationError, or a manifest whose encoding is a
-// fixed point (parsing and re-encoding it reproduces the same bytes);
-// never a panic.
+// a structured *ValidationError, or an input that is one whole JSON
+// value and a manifest whose encoding is a fixed point (parsing and
+// re-encoding it reproduces the same bytes); never a panic.
 func FuzzParseManifest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, verr := ParseManifest(data)
@@ -30,6 +30,9 @@ func FuzzParseManifest(f *testing.F) {
 				t.Fatalf("unknown error code %q", verr.Code)
 			}
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted input that is not one JSON value: %q", data)
 		}
 		ValidateManifest(m)
 		enc, err := json.Marshal(m)

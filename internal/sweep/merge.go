@@ -6,18 +6,16 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/core"
 )
 
 // Streaming merge. MergeBytes (engine.go) is the canonical
 // serialization — and the byte-identity oracle — but it materializes
-// every Merged row before encoding. The functions here produce the
-// same bytes one row at a time: the merge plan (deduplicated keys plus
-// their jobs, sorted by key) is the only thing held in memory, and each
-// outcome is fetched, encoded, written, and dropped. With a segment
-// store as the source, a 10k-job merge touches a handful of segment
-// files instead of 10k JSON documents.
+// every Merged row before encoding. A Plan produces the same bytes one
+// row at a time: the plan (deduplicated keys plus their jobs, sorted by
+// key) is the only thing held in memory, and each outcome is fetched,
+// encoded, written, and dropped. With a segment store as the source, a
+// 10k-job merge touches a handful of segment files instead of 10k JSON
+// documents.
 
 // OutcomeSource answers point lookups for merged output. Cache,
 // SegmentStore, and MergeSource all implement it.
@@ -66,33 +64,61 @@ func (s MergeSource) Has(key string) bool {
 	return false
 }
 
-// mergePlan is Merge's bookkeeping without its outcomes: the
-// deduplicated job set paired with keys, sorted by key. This is the
-// bounded part of a streaming merge — a few hundred bytes per job
-// regardless of outcome size.
-func mergePlan(cfg core.Config, jobs []Job) []Merged {
-	plan := make([]Merged, 0, len(jobs))
-	seen := make(map[string]bool, len(jobs))
-	ks := NewKeySpace(cfg)
-	for _, j := range jobs {
-		key := ks.Key(j)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		plan = append(plan, Merged{Key: key, Job: j})
-	}
-	sort.Slice(plan, func(i, j int) bool { return plan[i].Key < plan[j].Key })
-	return plan
+// Plan is one sweep's merge bookkeeping without its outcomes: every
+// job's key under one key space, and the deduplicated rows (the first
+// job for each key) sorted by key. A sweep builds it once and it serves
+// the completeness check and both merge formats, and a served sweep's
+// ID, without deriving a key again. It is the bounded part of a
+// streaming merge: a few hundred bytes per job regardless of outcome
+// size.
+type Plan struct {
+	space *KeySpace
+	// keys is every job's key in sorted order, duplicates kept.
+	keys []string
+	rows []Merged
 }
 
-// MergeCheck verifies that src can answer every job before any output
-// is produced, reporting the missing ones with Merge's exact error.
+// Plan keys jobs under the key space.
+func (k *KeySpace) Plan(jobs []Job) *Plan {
+	type keyed struct {
+		key string
+		i   int
+	}
+	order := make([]keyed, len(jobs))
+	for i, j := range jobs {
+		order[i] = keyed{k.Key(j), i}
+	}
+	// Ties go to the earlier job, the one kept for a shared key.
+	sort.Slice(order, func(a, b int) bool {
+		if order[a].key != order[b].key {
+			return order[a].key < order[b].key
+		}
+		return order[a].i < order[b].i
+	})
+	p := &Plan{space: k, keys: make([]string, len(order)), rows: make([]Merged, 0, len(order))}
+	for n, o := range order {
+		p.keys[n] = o.key
+		if n == 0 || o.key != order[n-1].key {
+			p.rows = append(p.rows, Merged{Key: o.key, Job: jobs[o.i]})
+		}
+	}
+	return p
+}
+
+// Space returns the key space the plan was built under.
+func (p *Plan) Space() *KeySpace { return p.space }
+
+// Keys returns every job's key in sorted order, once per job: a key two
+// jobs share appears twice. The slice is the plan's own.
+func (p *Plan) Keys() []string { return p.keys }
+
+// Check verifies that src can answer every job before any output is
+// produced, reporting the missing ones with Merge's exact error.
 // Streaming callers run this first so an incomplete sweep fails with a
 // clean error instead of truncated output.
-func MergeCheck(cfg core.Config, jobs []Job, src MergeSource) error {
+func (p *Plan) Check(src MergeSource) error {
 	var missing []error
-	for _, m := range mergePlan(cfg, jobs) {
+	for _, m := range p.rows {
 		if !src.Has(m.Key) {
 			missing = append(missing, fmt.Errorf("sweep: merge: %s (%s) not in cache", m.Job, m.Key[:12]))
 		}
@@ -100,14 +126,13 @@ func MergeCheck(cfg core.Config, jobs []Job, src MergeSource) error {
 	return errors.Join(missing...)
 }
 
-// MergeTo streams the merged result set to w, byte-identical to
+// WriteJSON streams the merged result set to w, byte-identical to
 // MergeBytes over the same jobs, holding one outcome at a time. A key
-// src cannot answer fails the merge (possibly mid-stream; run
-// MergeCheck first when partial output must not escape).
-func MergeTo(w io.Writer, cfg core.Config, jobs []Job, src OutcomeSource) error {
-	plan := mergePlan(cfg, jobs)
+// src cannot answer fails the merge (possibly mid-stream; run Check
+// first when partial output must not escape).
+func (p *Plan) WriteJSON(w io.Writer, src OutcomeSource) error {
 	bw := bufio.NewWriter(w)
-	if len(plan) == 0 {
+	if len(p.rows) == 0 {
 		// MarshalIndent of a nil slice: the empty sweep's canonical form.
 		if _, err := bw.WriteString("null\n"); err != nil {
 			return err
@@ -123,7 +148,7 @@ func MergeTo(w io.Writer, cfg core.Config, jobs []Job, src OutcomeSource) error 
 		return err
 	}
 	var row []byte
-	for i, m := range plan {
+	for i, m := range p.rows {
 		out, ok := src.Get(m.Key)
 		if !ok {
 			return fmt.Errorf("sweep: merge: %s (%s) not in cache", m.Job, m.Key[:12])
@@ -149,13 +174,14 @@ func MergeTo(w io.Writer, cfg core.Config, jobs []Job, src OutcomeSource) error 
 	return bw.Flush()
 }
 
-// MergeNDJSON streams the merged result set as newline-delimited JSON —
-// one compact Merged object per line, in the same key order as MergeTo
-// — for consumers that want incremental parsing over one big document.
-func MergeNDJSON(w io.Writer, cfg core.Config, jobs []Job, src OutcomeSource) error {
+// WriteNDJSON streams the merged result set as newline-delimited JSON —
+// one compact Merged object per line, in the same key order as
+// WriteJSON — for consumers that want incremental parsing over one big
+// document.
+func (p *Plan) WriteNDJSON(w io.Writer, src OutcomeSource) error {
 	bw := bufio.NewWriter(w)
 	var row []byte
-	for _, m := range mergePlan(cfg, jobs) {
+	for _, m := range p.rows {
 		out, ok := src.Get(m.Key)
 		if !ok {
 			return fmt.Errorf("sweep: merge: %s (%s) not in cache", m.Job, m.Key[:12])

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestMergeToMatchesOracle(t *testing.T) {
 	// Segment-backed stream.
 	var buf bytes.Buffer
 	src := SourceFor(dir)
-	if err := MergeTo(&buf, cfg, jobs, src); err != nil {
+	if err := NewKeySpace(cfg).Plan(jobs).WriteJSON(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), oracle) {
@@ -53,7 +54,7 @@ func TestMergeToMatchesOracle(t *testing.T) {
 
 	// JSON-only stream (no segment layer at all).
 	buf.Reset()
-	if err := MergeTo(&buf, cfg, jobs, MergeSource{Cache: &Cache{Dir: dir}}); err != nil {
+	if err := NewKeySpace(cfg).Plan(jobs).WriteJSON(&buf, MergeSource{Cache: &Cache{Dir: dir}}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), oracle) {
@@ -74,7 +75,7 @@ func TestMergeToMatchesOracle(t *testing.T) {
 		}
 	}
 	buf.Reset()
-	if err := MergeTo(&buf, cfg, jobs, SourceFor(dir)); err != nil {
+	if err := NewKeySpace(cfg).Plan(jobs).WriteJSON(&buf, SourceFor(dir)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), oracle) {
@@ -83,12 +84,55 @@ func TestMergeToMatchesOracle(t *testing.T) {
 
 	// Empty job set: canonical null document.
 	buf.Reset()
-	if err := MergeTo(&buf, cfg, nil, src); err != nil {
+	if err := NewKeySpace(cfg).Plan(nil).WriteJSON(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := MergeBytes(cfg, nil, &Cache{Dir: dir})
 	if !bytes.Equal(buf.Bytes(), want) || buf.String() != "null\n" {
 		t.Fatalf("empty merge = %q, want %q", buf.String(), want)
+	}
+}
+
+// TestPlanDuplicateJobs checks a plan over repeated jobs: Keys keeps
+// one key per job, sorted, and the merge keeps the first job listed for
+// each key, as MergeBytes does, here for a job spelt two ways.
+func TestPlanDuplicateJobs(t *testing.T) {
+	cfg := core.DefaultConfig()
+	base := testJobs()
+	jobs := append([]Job{{Bench: "mcf", Policy: PolicySingleClock, MHz: cfg.Sim.BaseMHz}}, base...)
+	jobs = append(jobs, base[0], base[0])
+	dir := warmSegmentedCache(t, cfg, jobs)
+
+	ks := NewKeySpace(cfg)
+	plan := ks.Plan(jobs)
+	keys := plan.Keys()
+	if len(keys) != len(jobs) || !sort.StringsAreSorted(keys) {
+		t.Fatalf("Keys: %d keys (sorted %v), want %d sorted", len(keys), sort.StringsAreSorted(keys), len(jobs))
+	}
+	count := map[string]int{}
+	for _, k := range keys {
+		count[k]++
+	}
+	if n := count[ks.Key(base[0])]; n != 3 {
+		t.Errorf("repeated job's key appears %d times, want 3", n)
+	}
+	if n := count[ks.Key(jobs[0])]; n != 2 {
+		t.Errorf("job spelt two ways: key appears %d times, want 2", n)
+	}
+
+	oracle, err := MergeBytes(cfg, jobs, &Cache{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := plan.WriteJSON(&buf, SourceFor(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), oracle) {
+		t.Fatalf("plan over repeated jobs differs from MergeBytes:\n%s\nvs\n%s", buf.Bytes(), oracle)
+	}
+	if !bytes.Contains(oracle, []byte(`"mhz"`)) {
+		t.Fatal("the first spelling (with mhz) was not the one kept")
 	}
 }
 
@@ -117,7 +161,7 @@ func TestMergeTruncatedSegmentFallsBackToJSON(t *testing.T) {
 
 	src := SourceFor(dir)
 	var buf bytes.Buffer
-	if err := MergeTo(&buf, cfg, jobs, src); err != nil {
+	if err := NewKeySpace(cfg).Plan(jobs).WriteJSON(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), oracle) {
@@ -136,7 +180,7 @@ func TestMergeCheckAndStreamErrors(t *testing.T) {
 	// The pre-check and the oracle must report the missing work with
 	// identical errors.
 	_, oracleErr := MergeBytes(cfg, jobs, &Cache{Dir: dir})
-	checkErr := MergeCheck(cfg, jobs, SourceFor(dir))
+	checkErr := NewKeySpace(cfg).Plan(jobs).Check(SourceFor(dir))
 	if oracleErr == nil || checkErr == nil {
 		t.Fatalf("missing jobs not reported: %v / %v", oracleErr, checkErr)
 	}
@@ -144,12 +188,12 @@ func TestMergeCheckAndStreamErrors(t *testing.T) {
 		t.Fatalf("error text drifted:\n%v\nvs\n%v", checkErr, oracleErr)
 	}
 	// A complete sweep passes the check.
-	if err := MergeCheck(cfg, jobs[:len(jobs)-2], SourceFor(dir)); err != nil {
+	if err := NewKeySpace(cfg).Plan(jobs[:len(jobs)-2]).Check(SourceFor(dir)); err != nil {
 		t.Fatal(err)
 	}
 	// The stream itself also fails on a missing key.
-	if err := MergeTo(&bytes.Buffer{}, cfg, jobs, SourceFor(dir)); err == nil {
-		t.Fatal("MergeTo ignored a missing key")
+	if err := NewKeySpace(cfg).Plan(jobs).WriteJSON(&bytes.Buffer{}, SourceFor(dir)); err == nil {
+		t.Fatal("WriteJSON ignored a missing key")
 	}
 }
 
@@ -159,7 +203,7 @@ func TestMergeNDJSON(t *testing.T) {
 	dir := warmSegmentedCache(t, cfg, jobs)
 
 	var buf bytes.Buffer
-	if err := MergeNDJSON(&buf, cfg, jobs, SourceFor(dir)); err != nil {
+	if err := NewKeySpace(cfg).Plan(jobs).WriteNDJSON(&buf, SourceFor(dir)); err != nil {
 		t.Fatal(err)
 	}
 	merged, err := Merge(cfg, jobs, &Cache{Dir: dir})
@@ -215,7 +259,7 @@ func TestMergeTopologiesByteIdentity(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var buf bytes.Buffer
-		if err := MergeTo(&buf, cfg, jobs, SourceFor(dir)); err != nil {
+		if err := NewKeySpace(cfg).Plan(jobs).WriteJSON(&buf, SourceFor(dir)); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !bytes.Equal(buf.Bytes(), oracle) {
@@ -229,7 +273,7 @@ func TestMergeTopologiesByteIdentity(t *testing.T) {
 			}
 		}
 		buf.Reset()
-		if err := MergeTo(&buf, cfg, jobs, SourceFor(dir)); err != nil {
+		if err := NewKeySpace(cfg).Plan(jobs).WriteJSON(&buf, SourceFor(dir)); err != nil {
 			t.Fatalf("%s segments-only: %v", name, err)
 		}
 		if !bytes.Equal(buf.Bytes(), oracle) {
@@ -303,7 +347,7 @@ func TestMergeToBoundedMemory(t *testing.T) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	w := &countingWriter{base: ms.HeapAlloc}
-	if err := MergeTo(w, cfg, jobs, src); err != nil {
+	if err := NewKeySpace(cfg).Plan(jobs).WriteJSON(w, src); err != nil {
 		t.Fatal(err)
 	}
 	if w.n < 4<<20 {

@@ -246,7 +246,7 @@ func TestRunParallelBitIdenticalCaches(t *testing.T) {
 			t.Fatal(err)
 		}
 		var merged bytes.Buffer
-		if err := MergeTo(&merged, cfg, jobs, SourceFor(dir)); err != nil {
+		if err := NewKeySpace(cfg).Plan(jobs).WriteJSON(&merged, SourceFor(dir)); err != nil {
 			t.Fatal(err)
 		}
 		return dir, merged.Bytes()

@@ -46,7 +46,7 @@ func tracedRun(t *testing.T, m *Manifest, traced bool) (map[string][]byte, []byt
 		t.Fatal(err)
 	}
 	var merged bytes.Buffer
-	if err := MergeTo(&merged, cfg, jobs, SourceFor(dir)); err != nil {
+	if err := NewKeySpace(cfg).Plan(jobs).WriteJSON(&merged, SourceFor(dir)); err != nil {
 		t.Fatal(err)
 	}
 	var spans []obs.Span

@@ -59,8 +59,11 @@ func ParseManifest(data []byte) (*Manifest, *ValidationError) {
 	if err := dec.Decode(&m); err != nil {
 		return nil, &ValidationError{Code: ErrBadJSON, Message: "manifest: " + err.Error()}
 	}
-	if dec.More() {
-		return nil, &ValidationError{Code: ErrBadJSON, Message: "manifest: trailing data after JSON object"}
+	// The manifest must be the whole input: only JSON whitespace may
+	// follow it. (dec.More reports false before a stray '}' or ']'.)
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return nil, &ValidationError{Code: ErrBadJSON,
+			Message: fmt.Sprintf("manifest: %d bytes of trailing data after JSON object", len(rest))}
 	}
 	if m.Schema != 0 && m.Schema != ManifestSchema {
 		return nil, &ValidationError{

@@ -22,6 +22,12 @@ func TestParseManifestStrict(t *testing.T) {
 		{"unknown field", `{"benchmark": ["gzip"]}`, ErrBadJSON, ""},
 		{"syntax error", `{"benchmarks": [`, ErrBadJSON, ""},
 		{"trailing data", `{"benchmarks": ["gzip"]} {}`, ErrBadJSON, ""},
+		{"trailing bracket", `{"benchmarks": ["gzip"]}]`, ErrBadJSON, ""},
+		{"trailing brace", `{"benchmarks": ["gzip"]}}`, ErrBadJSON, ""},
+		{"trailing brace after newline", "{\"benchmarks\": [\"gzip\"]}\n}", ErrBadJSON, ""},
+		{"trailing garbage", `{"benchmarks": ["gzip"]}x`, ErrBadJSON, ""},
+		{"trailing newline", "{\"benchmarks\": [\"gzip\"]}\n", "", ""},
+		{"trailing whitespace", "{\"benchmarks\": [\"gzip\"]} \t\r\n", "", ""},
 		{"wrong type", `{"benchmarks": "gzip"}`, ErrBadJSON, ""},
 	}
 	for _, c := range cases {
