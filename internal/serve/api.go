@@ -316,16 +316,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, req *http.Request) {
 		}
 		from = n
 	}
-	// The filter is the sweep's reachable closure: result keys (jobs and
-	// their result dependencies), trained-profile keys, and packed-stream
-	// keys. Span identity never feeds any of those keys — this is a
-	// read-side projection only.
-	keep := func(string) bool { return true }
-	if results, artifacts, streams, err := sweep.Reachable(r.plan.Space().Config(), r.jobs); err == nil {
-		keep = func(k string) bool {
-			return k == "" || results[k] || artifacts[k] || streams[k]
-		}
-	}
+	keep := r.traceFilter()
 	spans, next, dropped := s.Trace.Snapshot(from)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")

@@ -566,35 +566,10 @@ func (s *Server) runSweepFleet(r *sweepRun) {
 	defer s.wg.Done()
 	f := s.fleetState
 
-	var mu sync.Mutex
-	var sum sweep.Summary
-	var errs []error
-	remaining := len(r.jobs)
-	done := make(chan struct{})
-	complete := func(d sweep.JobDone) {
-		s.pending.Add(-1)
-		s.metrics.observe(d)
-		mu.Lock()
-		switch {
-		case d.Err != nil:
-			sum.Errors++
-			errs = append(errs, fmt.Errorf("sweep: %s: %w", d.Job, d.Err))
-		case d.Source == sweep.SourceExecuted:
-			sum.Executed++
-		case d.Source == sweep.SourceDisk:
-			sum.DiskHits++
-		default:
-			sum.MemHits++
-		}
-		r.append(d)
-		remaining--
-		last := remaining == 0
-		mu.Unlock()
-		if last {
-			close(done)
-		}
-	}
-
+	complete := s.completer(r)
+	// Only this goroutine counts segment hits and corrupt entries: a
+	// JobDone carries neither.
+	var segmentHits, corrupt int
 	var misses []enqueueItem
 	for i, job := range r.jobs {
 		start := time.Now()
@@ -602,14 +577,12 @@ func (s *Server) runSweepFleet(r *sweepRun) {
 			complete(sweep.JobDone{Index: i, Job: job, Source: sweep.SourceMemory, Err: err})
 			continue
 		}
-		key := r.plan.Space().Key(job)
+		key := r.plan.Key(i)
 		// The columnar layer answers first: one O(1) in-memory lookup
 		// against segments synced by workers (or sealed by local runs)
 		// instead of a JSON decode per job.
 		if out, ok := s.segments.Get(key); ok {
-			mu.Lock()
-			sum.SegmentHits++
-			mu.Unlock()
+			segmentHits++
 			complete(sweep.JobDone{Index: i, Job: job, Key: key, Outcome: out,
 				Source: sweep.SourceDisk, Elapsed: time.Since(start)})
 			continue
@@ -622,9 +595,7 @@ func (s *Server) runSweepFleet(r *sweepRun) {
 			continue
 		case store.Corrupt:
 			s.metrics.corruptEntries.Add(1)
-			mu.Lock()
-			sum.CorruptEntries++
-			mu.Unlock()
+			corrupt++
 		}
 		misses = append(misses, enqueueItem{job: job, key: key, w: waiter{index: i, cb: complete}})
 	}
@@ -632,16 +603,11 @@ func (s *Server) runSweepFleet(r *sweepRun) {
 		f.enqueue(r.plan.Space(), r.recCache, misses)
 	}
 	if len(r.jobs) > 0 {
-		<-done
+		<-r.all
 	}
-
-	mu.Lock()
-	sum.Jobs = len(r.jobs)
-	err := errors.Join(errs...)
-	mu.Unlock()
 	// Phase time accrues on the workers that ran the leases; their spans
 	// (imported at lease completion) carry the breakdown instead.
-	r.finish(sum, nil, err)
+	r.finish(corrupt, segmentHits, nil, errors.Join(r.errs...))
 	s.metrics.sweepsCompleted.Add(1)
 }
 

@@ -48,11 +48,6 @@ func (h *histogram) observe(seconds float64) {
 type metrics struct {
 	start time.Time
 
-	jobsExecuted atomic.Int64
-	jobsDisk     atomic.Int64
-	jobsMem      atomic.Int64
-	jobErrors    atomic.Int64
-
 	sweepsAccepted  atomic.Int64
 	sweepsDeduped   atomic.Int64
 	sweepsRejected  atomic.Int64
@@ -60,6 +55,7 @@ type metrics struct {
 	corruptEntries  atomic.Int64
 
 	mu      sync.Mutex
+	jobs    sweep.Summary         // batch-job counters, by countJob
 	latency map[string]*histogram // by policy
 }
 
@@ -67,19 +63,8 @@ func (m *metrics) uptime() time.Duration { return time.Since(m.start) }
 
 // observe records one finished job.
 func (m *metrics) observe(d sweep.JobDone) {
-	if d.Err != nil {
-		m.jobErrors.Add(1)
-	} else {
-		switch d.Source {
-		case sweep.SourceExecuted:
-			m.jobsExecuted.Add(1)
-		case sweep.SourceDisk:
-			m.jobsDisk.Add(1)
-		default:
-			m.jobsMem.Add(1)
-		}
-	}
 	m.mu.Lock()
+	countJob(&m.jobs, d)
 	if m.latency == nil {
 		m.latency = make(map[string]*histogram)
 	}
@@ -103,10 +88,10 @@ type poolGauges struct {
 // render writes the Prometheus text exposition. Hand-rolled on purpose:
 // the format is four line shapes, not worth a dependency.
 func (m *metrics) render(w io.Writer, pool poolGauges, fg fleetGauges) {
-	executed := m.jobsExecuted.Load()
-	disk := m.jobsDisk.Load()
-	mem := m.jobsMem.Load()
-	errs := m.jobErrors.Load()
+	m.mu.Lock()
+	jobs := m.jobs
+	m.mu.Unlock()
+	executed, disk, mem, errs := jobs.Executed, jobs.DiskHits, jobs.MemHits, jobs.Errors
 	total := executed + disk + mem
 
 	fmt.Fprintf(w, "# HELP mcdserved_up Whether the server is serving (1) — pairs with mcdserved_draining.\n")

@@ -172,10 +172,22 @@ type sweepRun struct {
 	// once appended, so streamers share them without copying.
 	lines   [][]byte
 	changed chan struct{}
-	done    bool
+	// summary is tallied from this sweep's own completions: Run's
+	// summary reports engine-wide counter deltas, which concurrent
+	// sweeps sharing an engine would cross-attribute. errs is the
+	// failed jobs' errors in completion order.
 	summary sweep.Summary
-	phases  *sweep.PhaseBreakdown
-	err     error
+	errs    []error
+	// all closes when every job has completed.
+	all    chan struct{}
+	done   bool
+	phases *sweep.PhaseBreakdown
+	err    error
+
+	// traceOnce builds traceKeep, the /trace span filter, on the first
+	// /trace request.
+	traceOnce sync.Once
+	traceKeep func(key string) bool
 }
 
 func newSweepRun(id string, m *sweep.Manifest, plan *sweep.Plan, jobs []sweep.Job) *sweepRun {
@@ -186,10 +198,12 @@ func newSweepRun(id string, m *sweep.Manifest, plan *sweep.Plan, jobs []sweep.Jo
 		plan:     plan,
 		recCache: m.RecordingCache,
 		changed:  make(chan struct{}),
+		all:      make(chan struct{}),
 	}
 }
 
-// append records one finished job and wakes streamers.
+// append records one finished job, in the summary and the event log,
+// and wakes streamers.
 func (r *sweepRun) append(d sweep.JobDone) {
 	ev := Event{
 		Versioned: wire.Stamp(),
@@ -215,19 +229,29 @@ func (r *sweepRun) append(d sweep.JobDone) {
 		line = append(make([]byte, 0, len(b)), b...)
 	}
 	r.mu.Lock()
+	countJob(&r.summary, d)
+	if d.Err != nil {
+		r.errs = append(r.errs, fmt.Errorf("sweep: %s: %w", d.Job, d.Err))
+	}
 	r.lines = append(r.lines, line)
+	if len(r.lines) == len(r.jobs) {
+		close(r.all)
+	}
 	close(r.changed)
 	r.changed = make(chan struct{})
 	r.mu.Unlock()
 }
 
-// finish marks the sweep done and wakes streamers one last time.
-// phases is the engine's per-phase delta attributed to this sweep's Run
-// (nil on a fleet coordinator, where phase time accrues on workers).
-func (r *sweepRun) finish(sum sweep.Summary, phases *sweep.PhaseBreakdown, err error) {
+// finish marks the sweep done and wakes streamers one last time. The
+// summary's corrupt entries and segment hits come from the caller,
+// because a JobDone carries neither. phases is the engine's per-phase
+// delta attributed to this sweep's Run (nil on a fleet coordinator,
+// where phase time accrues on workers).
+func (r *sweepRun) finish(corrupt, segmentHits int, phases *sweep.PhaseBreakdown, err error) {
 	r.mu.Lock()
 	r.done = true
-	r.summary = sum
+	r.summary.Jobs = len(r.jobs)
+	r.summary.CorruptEntries, r.summary.SegmentHits = corrupt, segmentHits
 	r.phases = phases
 	r.err = err
 	close(r.changed)
@@ -281,6 +305,22 @@ func (r *sweepRun) status() Status {
 		}
 	}
 	return st
+}
+
+// traceFilter reports whether a span belongs to the sweep: it is
+// keyless, or its key is in the sweep's reachable closure (result keys
+// of the jobs and their result dependencies, trained-profile keys,
+// packed-stream keys), derived once from the plan's key space. Span
+// identity never feeds any of those keys: this is a read-side
+// projection only.
+func (r *sweepRun) traceFilter() func(key string) bool {
+	r.traceOnce.Do(func() {
+		results, artifacts, streams, err := r.plan.Space().Reachable(r.jobs)
+		r.traceKeep = func(k string) bool {
+			return err != nil || k == "" || results[k] || artifacts[k] || streams[k]
+		}
+	})
+	return r.traceKeep
 }
 
 // SweepID content-addresses a sweep: the hash of its configuration key
@@ -422,12 +462,37 @@ func (s *Server) retryAfter(pending int64) int {
 	}
 }
 
+// countJob counts one finished job in sum, by the layer that answered
+// it or as an error: one switch for a sweep's own summary and the
+// server-wide /metrics job counters alike.
+func countJob(sum *sweep.Summary, d sweep.JobDone) {
+	switch {
+	case d.Err != nil:
+		sum.Errors++
+	case d.Source == sweep.SourceExecuted:
+		sum.Executed++
+	case d.Source == sweep.SourceDisk:
+		sum.DiskHits++
+	default:
+		sum.MemHits++
+	}
+}
+
+// completer returns r's completion handler, the one both execution
+// paths feed (a local Run's callbacks, a fleet's cache answers and lease
+// results): it releases the job's admission slot, observes the job in
+// the server metrics and records it in r.
+func (s *Server) completer(r *sweepRun) func(sweep.JobDone) {
+	return func(d sweep.JobDone) {
+		s.pending.Add(-1)
+		s.metrics.observe(d)
+		r.append(d)
+	}
+}
+
 // runSweep executes one sweep on the shared pool (or, on a fleet
 // coordinator, dispatches it to leased workers), feeding its event log
-// and the server metrics as each job completes. The per-sweep summary
-// is tallied from this sweep's own completions — Run's summary reports
-// engine-wide counter deltas, which concurrent sweeps sharing an engine
-// would cross-attribute.
+// and the server metrics as each job completes.
 func (s *Server) runSweep(r *sweepRun) {
 	if s.fleetState != nil {
 		s.runSweepFleet(r)
@@ -436,38 +501,21 @@ func (s *Server) runSweep(r *sweepRun) {
 	defer s.wg.Done()
 	eng := s.engine(r.plan.Space(), r.recCache)
 	phasesBefore := eng.Phases()
-	var sum sweep.Summary
-	_, engSum, err := eng.Run(context.Background(), r.jobs, sweep.WithPool(s.pool), sweep.WithOnDone(func(d sweep.JobDone) {
-		s.pending.Add(-1)
-		s.metrics.observe(d)
-		switch {
-		case d.Err != nil:
-			sum.Errors++
-		case d.Source == sweep.SourceExecuted:
-			sum.Executed++
-		case d.Source == sweep.SourceDisk:
-			sum.DiskHits++
-		default:
-			sum.MemHits++
-		}
-		r.append(d)
-	}))
-	sum.Jobs = len(r.jobs)
+	// Run's error joins the jobs' errors in job order, as a local run
+	// reports them.
+	_, engSum, err := eng.Run(context.Background(), r.jobs, sweep.WithPool(s.pool), sweep.WithOnDone(s.completer(r)))
 	// Corruption has no per-job attribution (JobDone cannot carry it),
 	// so take the engine-wide delta: between concurrent sweeps it may
 	// land on either, but it is a damage signal — what matters is that
 	// a damaged shared directory is never silent, here or in /metrics.
-	sum.CorruptEntries = engSum.CorruptEntries
-	// Same for segment hits: JobDone reports SourceDisk for both cache
-	// layers (a segment hit is a disk hit), so the columnar subset is
-	// only known engine-wide.
-	sum.SegmentHits = engSum.SegmentHits
 	s.metrics.corruptEntries.Add(int64(engSum.CorruptEntries))
-	// The phase delta has the same engine-wide caveat as the corruption
-	// counter: concurrent sweeps sharing an engine may cross-attribute
+	// Segment hits are engine-wide too: JobDone reports SourceDisk for
+	// both cache layers (a segment hit is a disk hit), so the columnar
+	// subset is only known engine-wide. The phase delta has the same
+	// caveat: concurrent sweeps sharing an engine may cross-attribute
 	// wall-clock, but a lone sweep's breakdown is exact.
 	phases := eng.Phases().Sub(phasesBefore)
-	r.finish(sum, &phases, err)
+	r.finish(engSum.CorruptEntries, engSum.SegmentHits, &phases, err)
 	s.metrics.sweepsCompleted.Add(1)
 }
 

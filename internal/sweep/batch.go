@@ -208,7 +208,7 @@ func (e *Engine) resolveOwned(owned []*laneJob, done func(*laneJob)) {
 	x.reserveStreams(-2)
 	for _, o := range pending {
 		if o.err == nil {
-			e.nExecuted.Add(1)
+			e.note(evExecuted, 0, obs.Span{})
 			e.persist(o.key, o.job, o.out)
 		}
 		e.publish(o)
@@ -289,22 +289,12 @@ func (e *Engine) executeWave(pending []*laneJob) {
 		cs := time.Now()
 		stream.FeedLockstep(sl)
 		d := time.Since(cs)
-		e.phases.simNS.Add(int64(d))
-		if tr := e.Trace; tr != nil {
-			// One simulate span per lane, all sharing the chunk's window:
-			// the lanes stepped together, so the chunk duration is each
-			// job's lockstep cost and every job keeps a complete span tree.
-			for _, o := range chunk {
-				tr.Emit(obs.Span{
-					Key:     o.key,
-					Phase:   "simulate",
-					Policy:  o.job.Policy,
-					Bench:   o.job.Bench,
-					Outcome: "lockstep",
-					StartNS: tr.Now() - int64(d),
-					DurNS:   int64(d),
-				})
-			}
+		e.note(evLockstep, d, obs.Span{})
+		// Every lane shares the chunk's window: the lanes stepped
+		// together, so the chunk duration is each job's lockstep cost
+		// and every job keeps a complete span tree.
+		for _, o := range chunk {
+			e.note(evSimulate, d, obs.Span{Key: o.key, Policy: o.job.Policy, Bench: o.job.Bench})
 		}
 	}
 	for _, o := range lanes {

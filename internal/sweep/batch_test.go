@@ -276,7 +276,7 @@ func TestDoMatchesRun(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Errorf("global outcome diverged\nDo  %s\nRun %s", a, b)
 	}
-	if n := doEng.nExecuted.Load(); n != int64(sum.Executed) || n != int64(len(jobs)) {
+	if n := doEng.tally.n[evExecuted].Load(); n != int64(sum.Executed) || n != int64(len(jobs)) {
 		t.Errorf("executed: Do %d, Run %d, want %d", n, sum.Executed, len(jobs))
 	}
 	compareTrees(t, dirDo, dirRun)

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -227,7 +228,7 @@ func TestProfileArtifactReuse(t *testing.T) {
 	if n := eng3.Artifacts.Writes(); n != 1 {
 		t.Errorf("corrupt entry not repaired: %d writes, want 1", n)
 	}
-	if n := eng3.nCorrupt.Load(); n != 1 {
+	if n := eng3.tally.n[evCorrupt].Load(); n != 1 {
 		t.Errorf("corrupt artifact not counted: %d, want 1", n)
 	}
 	if _, st := eng3.Artifacts.Load(key, artifact.KindProfile); st != artifact.Hit {
@@ -352,6 +353,40 @@ func TestReachable(t *testing.T) {
 
 	if _, _, _, err := Reachable(cfg, []Job{{Bench: "mcf", Policy: "nope"}}); err == nil {
 		t.Error("invalid job not rejected")
+	}
+}
+
+// TestKeySpaceReachableMatchesOneShot checks that a key space's
+// Reachable, called twice on one key space, gives the one-shot
+// Reachable's sets on the CI manifest's grid.
+func TestKeySpaceReachableMatchesOneShot(t *testing.T) {
+	m, err := LoadManifest(filepath.Join("..", "..", "perf", "ci-manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := m.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := m.Config()
+	results, artifacts, streams, err := Reachable(cfg, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) < len(jobs) || len(artifacts) == 0 || len(streams) == 0 {
+		t.Fatalf("one-shot closure too small: %d results for %d jobs, %d artifacts, %d streams",
+			len(results), len(jobs), len(artifacts), len(streams))
+	}
+	ks := NewKeySpace(cfg)
+	for pass := 1; pass <= 2; pass++ {
+		r, a, s, err := ks.Reachable(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r, results) || !reflect.DeepEqual(a, artifacts) || !reflect.DeepEqual(s, streams) {
+			t.Errorf("pass %d: key-space closure (%d, %d, %d keys) differs from one-shot (%d, %d, %d)",
+				pass, len(r), len(a), len(s), len(results), len(artifacts), len(streams))
+		}
 	}
 }
 

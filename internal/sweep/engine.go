@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/artifact"
@@ -140,17 +139,11 @@ type Engine struct {
 	execOnce sync.Once
 	exec     *executor
 
-	// nExecuted, nDisk and nCorrupt count resolutions engine-wide; Run
-	// reports them as before/after deltas so dependency jobs are
-	// attributed to the batch that triggered them, independent of which
-	// worker (or nested Do) got there first. phases accumulates
-	// wall-clock per pipeline phase the same way (see Phases).
-	nExecuted atomic.Int64
-	nDisk     atomic.Int64
-	nSegment  atomic.Int64
-	nStream   atomic.Int64
-	nCorrupt  atomic.Int64
-	phases    phaseCounters
+	// tally counts every engine event (note). Run reports its Summary
+	// as a before/after delta, so dependency jobs are attributed to the
+	// batch that triggered them, independent of which worker (or nested
+	// Do) got there first; Phases reads the same tally.
+	tally tally
 
 	// segMu guards segBuf, the rows waiting to be sealed into the next
 	// segment file when the current Run finishes.
@@ -188,7 +181,7 @@ func (e *Engine) logger() *obs.Logger {
 // offending entry: corruption is handled as a miss, but it should never
 // be silent — a recurring count points at a damaged shared directory.
 func (e *Engine) noteCorrupt(storeName, key string) {
-	e.nCorrupt.Add(1)
+	e.note(evCorrupt, 0, obs.Span{})
 	e.logger().WarnOnce(storeName+"/"+key, "corrupt cache entry, treated as a miss and rewritten",
 		"store", storeName, "key", key)
 }
@@ -255,8 +248,7 @@ func (e *Engine) doKeyed(key string, job Job) (*Outcome, Source, error) {
 func (e *Engine) lookup(key string, job Job) (*Outcome, bool) {
 	if e.Segments != nil {
 		if out, ok := e.Segments.Get(key); ok {
-			e.nSegment.Add(1)
-			e.nDisk.Add(1)
+			e.note(evSegmentHit, 0, obs.Span{})
 			return out, true
 		}
 	}
@@ -266,7 +258,7 @@ func (e *Engine) lookup(key string, job Job) (*Outcome, bool) {
 	out, status := e.Cache.Load(key)
 	switch status {
 	case store.Hit:
-		e.nDisk.Add(1)
+		e.note(evDiskHit, 0, obs.Span{})
 		e.bufferSegRow(key, job, out)
 		return out, true
 	case store.Corrupt:
@@ -288,7 +280,7 @@ func (e *Engine) persist(key string, job Job, out *Outcome) {
 	}
 	start := time.Now()
 	err := e.Cache.Put(key, job, out)
-	e.notePersist(key, job, time.Since(start), err)
+	e.note(evPersist, time.Since(start), obs.Span{Key: key, Policy: job.Policy, Bench: job.Bench, Outcome: outcomeOf(err, "written")})
 	if err != nil {
 		e.warnPersist(err)
 		return
@@ -296,25 +288,12 @@ func (e *Engine) persist(key string, job Job, out *Outcome) {
 	e.bufferSegRow(key, job, out)
 }
 
-// notePersist accounts one result-cache write in the phase breakdown
-// and, when tracing, as a "persist" span.
-func (e *Engine) notePersist(key string, job Job, d time.Duration, err error) {
-	e.phases.persistNS.Add(int64(d))
-	if tr := e.Trace; tr != nil {
-		outcome := "written"
-		if err != nil {
-			outcome = "error"
-		}
-		tr.Emit(obs.Span{
-			Key:     key,
-			Phase:   "persist",
-			Policy:  job.Policy,
-			Bench:   job.Bench,
-			Outcome: outcome,
-			StartNS: tr.Now() - int64(d),
-			DurNS:   int64(d),
-		})
+// outcomeOf is a span outcome: ok, or "error" when err is non-nil.
+func outcomeOf(err error, ok string) string {
+	if err != nil {
+		return "error"
 	}
+	return ok
 }
 
 // bufferSegRow queues one completed row for the columnar layer; Run
@@ -345,20 +324,7 @@ func (e *Engine) flushSegments() {
 	}
 	start := time.Now()
 	err := e.Segments.Append(rows)
-	d := time.Since(start)
-	e.phases.sealNS.Add(int64(d))
-	if tr := e.Trace; tr != nil {
-		outcome := "sealed"
-		if err != nil {
-			outcome = "error"
-		}
-		tr.Emit(obs.Span{
-			Phase:   "seal",
-			Outcome: outcome,
-			StartNS: tr.Now() - int64(d),
-			DurNS:   int64(d),
-		})
-	}
+	e.note(evSeal, time.Since(start), obs.Span{Outcome: outcomeOf(err, "sealed")})
 	if err != nil {
 		e.warnPersist(err)
 	}
@@ -410,8 +376,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, opts ...RunOption) ([]*Out
 	outs := make([]*Outcome, len(jobs))
 	srcs := make([]Source, len(jobs))
 	errs := make([]error, len(jobs))
-	exec0, disk0, corrupt0 := e.nExecuted.Load(), e.nDisk.Load(), e.nCorrupt.Load()
-	seg0, stream0 := e.nSegment.Load(), e.nStream.Load()
+	before := e.tally.snapshot()
 	var segCorrupt0 int64
 	if e.Segments != nil {
 		segCorrupt0 = e.Segments.CorruptRows()
@@ -420,21 +385,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, opts ...RunOption) ([]*Out
 	var cbMu sync.Mutex
 	report := func(i int, key string, out *Outcome, src Source, elapsed time.Duration, err error) {
 		outs[i], srcs[i], errs[i] = out, src, err
-		if tr := e.Trace; tr != nil {
-			outcome := src.String()
-			if err != nil {
-				outcome = "error"
-			}
-			tr.Emit(obs.Span{
-				Key:     key,
-				Phase:   "job",
-				Policy:  jobs[i].Policy,
-				Bench:   jobs[i].Bench,
-				Outcome: outcome,
-				StartNS: tr.Now() - int64(elapsed),
-				DurNS:   int64(elapsed),
-			})
-		}
+		e.note(evJob, elapsed, obs.Span{Key: key, Policy: jobs[i].Policy, Bench: jobs[i].Bench, Outcome: outcomeOf(err, src.String())})
 		if rc.onDone != nil {
 			d := JobDone{
 				Index:   i,
@@ -492,13 +443,14 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, opts ...RunOption) ([]*Out
 	wg.Wait()
 	e.flushSegments()
 
+	c := e.tally.snapshot().sub(before)
 	sum := Summary{
 		Jobs:           len(jobs),
-		Executed:       int(e.nExecuted.Load() - exec0),
-		DiskHits:       int(e.nDisk.Load() - disk0),
-		SegmentHits:    int(e.nSegment.Load() - seg0),
-		StreamHits:     int(e.nStream.Load() - stream0),
-		CorruptEntries: int(e.nCorrupt.Load() - corrupt0),
+		Executed:       int(c.n[evExecuted]),
+		DiskHits:       int(c.n[evDiskHit] + c.n[evSegmentHit]),
+		SegmentHits:    int(c.n[evSegmentHit]),
+		StreamHits:     int(c.n[evStreamHit]),
+		CorruptEntries: int(c.n[evCorrupt]),
 	}
 	if e.Segments != nil {
 		sum.CorruptEntries += int(e.Segments.CorruptRows() - segCorrupt0)

@@ -156,42 +156,24 @@ func (x *executor) packed(b *workload.Benchmark, ref bool) *isa.PackedStream {
 // is then persisted so the next cold process loads instead of walking.
 func (x *executor) resolveStream(b *workload.Benchmark, in isa.Input, window int64, ref bool) *isa.PackedStream {
 	start := time.Now()
-	s, key, outcome := x.loadOrRecordStream(b, in, window, ref)
-	d := time.Since(start)
-	e := x.eng
-	e.phases.streamNS.Add(int64(d))
-	if outcome == "hit" {
-		e.phases.streamHits.Add(1)
-	} else {
-		e.phases.streamRecords.Add(1)
-	}
-	if tr := e.Trace; tr != nil {
-		tr.Emit(obs.Span{
-			Key:     key,
-			Phase:   "stream",
-			Bench:   b.Name(),
-			Outcome: outcome,
-			StartNS: tr.Now() - int64(d),
-			DurNS:   int64(d),
-		})
-	}
+	s, key, ev := x.loadOrRecordStream(b, in, window, ref)
+	x.eng.note(ev, time.Since(start), obs.Span{Key: key, Bench: b.Name()})
 	return s
 }
 
 // loadOrRecordStream is resolveStream's store/walk logic; it reports
 // the stream key (empty without a store) and how the stream resolved
-// ("hit" from the store, "recorded" by a generating walk).
-func (x *executor) loadOrRecordStream(b *workload.Benchmark, in isa.Input, window int64, ref bool) (*isa.PackedStream, string, string) {
+// (evStreamHit from the store, evStreamRecord by a generating walk).
+func (x *executor) loadOrRecordStream(b *workload.Benchmark, in isa.Input, window int64, ref bool) (*isa.PackedStream, string, event) {
 	st := x.eng.Streams
 	if st == nil {
-		return isa.RecordPackedSized(b.Prog, in, window), "", "recorded"
+		return isa.RecordPackedSized(b.Prog, in, window), "", evStreamRecord
 	}
 	key := StreamKey(b, ref)
 	s, status := st.Load(key)
 	switch status {
 	case store.Hit:
-		x.eng.nStream.Add(1)
-		return s, key, "hit"
+		return s, key, evStreamHit
 	case store.Corrupt:
 		x.eng.noteCorrupt("streams", key)
 	}
@@ -199,7 +181,7 @@ func (x *executor) loadOrRecordStream(b *workload.Benchmark, in isa.Input, windo
 	if err := st.Put(key, s); err != nil {
 		x.eng.warnPersist(err)
 	}
-	return s, key, "recorded"
+	return s, key, evStreamRecord
 }
 
 // profile resolves one trained profile: in-process memo (with per-key
@@ -221,32 +203,9 @@ func (x *executor) profile(spec ProfileSpec) (*core.Profile, error) {
 	x.mu.Unlock()
 	<-f.done
 	if !claimed {
-		x.noteProfile(key, spec.Bench, "memo", time.Since(start))
+		x.eng.note(evProfileMemo, time.Since(start), obs.Span{Key: key, Bench: spec.Bench})
 	}
 	return f.prof, nil
-}
-
-// noteProfile accounts one profile-dependency resolution in the phase
-// breakdown and, when tracing, as a "profile" span whose outcome names
-// the answering layer (memo, artifact, trained).
-func (x *executor) noteProfile(key, bench, outcome string, d time.Duration) {
-	e := x.eng
-	switch outcome {
-	case "artifact":
-		e.phases.artifactHits.Add(1)
-	case "trained":
-		e.phases.trained.Add(1)
-	}
-	if tr := e.Trace; tr != nil {
-		tr.Emit(obs.Span{
-			Key:     key,
-			Phase:   "profile",
-			Bench:   bench,
-			Outcome: outcome,
-			StartNS: tr.Now() - int64(d),
-			DurNS:   int64(d),
-		})
-	}
 }
 
 // loadStored resolves a profile from the artifact store, replanning at
@@ -333,7 +292,7 @@ func (x *executor) profileBatch(specs []ProfileSpec) int {
 		c := &mine[i]
 		t0 := time.Now()
 		if prof := x.loadStored(c.key); prof != nil {
-			x.noteProfile(c.key, c.spec.Bench, "artifact", time.Since(t0))
+			x.eng.note(evProfileArtifact, time.Since(t0), obs.Span{Key: c.key, Bench: c.spec.Bench})
 			c.f.prof = prof
 			close(c.f.done)
 			continue
@@ -370,7 +329,7 @@ func (x *executor) profileBatch(specs []ProfileSpec) int {
 			x.persistProfile(c.key, profs[k])
 			// Each spec's profile span carries the shared pass duration:
 			// the schemes trained together, none resolved faster alone.
-			x.noteProfile(c.key, c.spec.Bench, "trained", d)
+			x.eng.note(evProfileTrained, d, obs.Span{Key: c.key, Bench: c.spec.Bench})
 			close(c.f.done)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -20,9 +21,16 @@ import (
 // FuzzParseManifest feeds arbitrary bytes to the manifest parser every
 // submission surface shares, then validates what parses. The contract:
 // a structured *ValidationError, or an input that is one whole JSON
-// value and a manifest whose encoding is a fixed point (parsing and
-// re-encoding it reproduces the same bytes); never a panic.
+// value whose member names are exactly Manifest's json tags and a
+// manifest whose encoding is a fixed point (parsing and re-encoding it
+// reproduces the same bytes); never a panic.
 func FuzzParseManifest(f *testing.F) {
+	tags := map[string]bool{}
+	mt := reflect.TypeOf(Manifest{})
+	for i := 0; i < mt.NumField(); i++ {
+		name, _, _ := strings.Cut(mt.Field(i).Tag.Get("json"), ",")
+		tags[name] = true
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, verr := ParseManifest(data)
 		if verr != nil {
@@ -33,6 +41,15 @@ func FuzzParseManifest(f *testing.F) {
 		}
 		if !json.Valid(data) {
 			t.Fatalf("accepted input that is not one JSON value: %q", data)
+		}
+		var members map[string]json.RawMessage
+		if err := json.Unmarshal(data, &members); err != nil {
+			t.Fatalf("accepted input that is not an object: %q: %v", data, err)
+		}
+		for k := range members {
+			if !tags[k] {
+				t.Fatalf("accepted member %q, which is not a Manifest json tag", k)
+			}
 		}
 		ValidateManifest(m)
 		enc, err := json.Marshal(m)

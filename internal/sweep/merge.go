@@ -65,17 +65,20 @@ func (s MergeSource) Has(key string) bool {
 }
 
 // Plan is one sweep's merge bookkeeping without its outcomes: every
-// job's key under one key space, and the deduplicated rows (the first
-// job for each key) sorted by key. A sweep builds it once and it serves
-// the completeness check and both merge formats, and a served sweep's
-// ID, without deriving a key again. It is the bounded part of a
+// job's key under one key space, in job order and sorted, and the
+// deduplicated rows (the first job for each key) sorted by key. A sweep
+// builds it once and it serves the completeness check and both merge
+// formats, a served sweep's ID and a fleet's dispatch, without deriving
+// a key again. It is the bounded part of a
 // streaming merge: a few hundred bytes per job regardless of outcome
 // size.
 type Plan struct {
 	space *KeySpace
-	// keys is every job's key in sorted order, duplicates kept.
-	keys []string
-	rows []Merged
+	// byJob is every job's key in job order; keys is the same keys
+	// sorted, duplicates kept.
+	byJob []string
+	keys  []string
+	rows  []Merged
 }
 
 // Plan keys jobs under the key space.
@@ -84,9 +87,11 @@ func (k *KeySpace) Plan(jobs []Job) *Plan {
 		key string
 		i   int
 	}
+	p := &Plan{space: k, byJob: make([]string, len(jobs)), keys: make([]string, len(jobs)), rows: make([]Merged, 0, len(jobs))}
 	order := make([]keyed, len(jobs))
 	for i, j := range jobs {
-		order[i] = keyed{k.Key(j), i}
+		p.byJob[i] = k.Key(j)
+		order[i] = keyed{p.byJob[i], i}
 	}
 	// Ties go to the earlier job, the one kept for a shared key.
 	sort.Slice(order, func(a, b int) bool {
@@ -95,7 +100,6 @@ func (k *KeySpace) Plan(jobs []Job) *Plan {
 		}
 		return order[a].i < order[b].i
 	})
-	p := &Plan{space: k, keys: make([]string, len(order)), rows: make([]Merged, 0, len(order))}
 	for n, o := range order {
 		p.keys[n] = o.key
 		if n == 0 || o.key != order[n-1].key {
@@ -107,6 +111,10 @@ func (k *KeySpace) Plan(jobs []Job) *Plan {
 
 // Space returns the key space the plan was built under.
 func (p *Plan) Space() *KeySpace { return p.space }
+
+// Key returns the key of the plan's i-th job, in the order the jobs
+// were given.
+func (p *Plan) Key(i int) string { return p.byJob[i] }
 
 // Keys returns every job's key in sorted order, once per job: a key two
 // jobs share appears twice. The slice is the plan's own.

@@ -93,9 +93,10 @@ func TestMergeToMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestPlanDuplicateJobs checks a plan over repeated jobs: Keys keeps
-// one key per job, sorted, and the merge keeps the first job listed for
-// each key, as MergeBytes does, here for a job spelt two ways.
+// TestPlanDuplicateJobs checks a plan over repeated jobs: Key(i) is
+// job i's key, Keys keeps one key per job, sorted, and the merge keeps
+// the first job listed for each key, as MergeBytes does, here for a job
+// spelt two ways.
 func TestPlanDuplicateJobs(t *testing.T) {
 	cfg := core.DefaultConfig()
 	base := testJobs()
@@ -105,6 +106,11 @@ func TestPlanDuplicateJobs(t *testing.T) {
 
 	ks := NewKeySpace(cfg)
 	plan := ks.Plan(jobs)
+	for i, j := range jobs {
+		if got, want := plan.Key(i), plan.Space().Key(j); got != want {
+			t.Errorf("Key(%d) = %s, want %s", i, got[:12], want[:12])
+		}
+	}
 	keys := plan.Keys()
 	if len(keys) != len(jobs) || !sort.StringsAreSorted(keys) {
 		t.Fatalf("Keys: %d keys (sorted %v), want %d sorted", len(keys), sort.StringsAreSorted(keys), len(jobs))

@@ -77,41 +77,132 @@ func (p PhaseBreakdown) String() string {
 	return b.String()
 }
 
-// phaseCounters is the engine-side atomic mirror of PhaseBreakdown.
-type phaseCounters struct {
-	trainNS, treewalkNS, collectNS, shakeNS          atomic.Int64
-	simNS, streamNS, persistNS, sealNS               atomic.Int64
-	trained, artifactHits, streamHits, streamRecords atomic.Int64
+// event is one kind of engine event. note counts every event, and sums
+// its duration, in the engine's tally; Summary and PhaseBreakdown are
+// views of tally snapshots.
+type event uint8
+
+const (
+	evJob             event = iota // a batch job finished
+	evExecuted                     // a job simulated
+	evDiskHit                      // a job answered by the JSON result cache
+	evSegmentHit                   // a job answered by the columnar segment layer
+	evCorrupt                      // an unusable persistent entry, treated as a miss
+	evStreamHit                    // a packed stream loaded from the stream store
+	evStreamRecord                 // a packed stream recorded by a generating walk
+	evProfileMemo                  // a profile answered by the in-process memo
+	evProfileArtifact              // a profile answered by the artifact store
+	evProfileTrained               // a profile trained
+	evTrain                        // one training pass
+	evTreewalk                     // a training's tree walk
+	evCollect                      // a training's collection run
+	evShake                        // a training's shakes, summed over segments
+	evLockstep                     // one lockstep replay of a chunk of lanes
+	evSimulate                     // one lane's share of a lockstep replay
+	evPersist                      // one result-cache write
+	evSeal                         // one segment seal
+	nEvents
+)
+
+// eventSpans labels each event's span: its phase and, where the event
+// itself decides it, its outcome. An event without a phase has no span.
+var eventSpans = [nEvents]struct{ phase, outcome string }{
+	evJob:             {"job", ""},
+	evStreamHit:       {"stream", "hit"},
+	evStreamRecord:    {"stream", "recorded"},
+	evProfileMemo:     {"profile", "memo"},
+	evProfileArtifact: {"profile", "artifact"},
+	evProfileTrained:  {"profile", "trained"},
+	evTrain:           {"train", "trained"},
+	evTreewalk:        {"treewalk", ""},
+	evCollect:         {"collect", ""},
+	evShake:           {"shake", ""},
+	evSimulate:        {"simulate", "lockstep"},
+	evPersist:         {"persist", ""},
+	evSeal:            {"seal", ""},
+}
+
+// tally is an engine's cumulative event book: per event, how many
+// times it happened and its summed duration in nanoseconds. Counters
+// only grow; views subtract a before snapshot from an after one.
+type tally struct {
+	n, ns [nEvents]atomic.Int64
+}
+
+// counts is a tally snapshot.
+type counts struct {
+	n, ns [nEvents]int64
+}
+
+func (t *tally) snapshot() counts {
+	var c counts
+	for i := range c.n {
+		c.n[i], c.ns[i] = t.n[i].Load(), t.ns[i].Load()
+	}
+	return c
+}
+
+// sub returns c - d, the usual before/after delta.
+func (c counts) sub(d counts) counts {
+	for i := range c.n {
+		c.n[i] -= d.n[i]
+		c.ns[i] -= d.ns[i]
+	}
+	return c
+}
+
+// phases is the snapshot's PhaseBreakdown view.
+func (c counts) phases() PhaseBreakdown {
+	return PhaseBreakdown{
+		TrainNS:       c.ns[evTrain],
+		TreewalkNS:    c.ns[evTreewalk],
+		CollectNS:     c.ns[evCollect],
+		ShakeNS:       c.ns[evShake],
+		SimNS:         c.ns[evLockstep],
+		StreamNS:      c.ns[evStreamHit] + c.ns[evStreamRecord],
+		PersistNS:     c.ns[evPersist],
+		SealNS:        c.ns[evSeal],
+		Trained:       c.n[evProfileTrained],
+		ArtifactHits:  c.n[evProfileArtifact],
+		StreamHits:    c.n[evStreamHit],
+		StreamRecords: c.n[evStreamRecord],
+	}
+}
+
+// note records one engine event of duration d, ending now, in the
+// tally and, when tracing, as a span: sp supplies the subject (key,
+// policy, bench) and any outcome the event does not fix itself.
+func (e *Engine) note(ev event, d time.Duration, sp obs.Span) {
+	e.tally.n[ev].Add(1)
+	if d != 0 {
+		e.tally.ns[ev].Add(int64(d))
+	}
+	tr := e.Trace
+	if tr == nil || eventSpans[ev].phase == "" {
+		return
+	}
+	sp.Phase = eventSpans[ev].phase
+	if o := eventSpans[ev].outcome; o != "" {
+		sp.Outcome = o
+	}
+	sp.StartNS = tr.Now() - int64(d)
+	sp.DurNS = int64(d)
+	tr.Emit(sp)
 }
 
 // Phases snapshots the engine's cumulative per-phase breakdown.
 // Counters only grow; take before/after snapshots and Sub them to
-// attribute work to one Run (the same convention Summary's counters
-// use internally).
+// attribute work to one Run (as Run does for its Summary).
 func (e *Engine) Phases() PhaseBreakdown {
-	return PhaseBreakdown{
-		TrainNS:       e.phases.trainNS.Load(),
-		TreewalkNS:    e.phases.treewalkNS.Load(),
-		CollectNS:     e.phases.collectNS.Load(),
-		ShakeNS:       e.phases.shakeNS.Load(),
-		SimNS:         e.phases.simNS.Load(),
-		StreamNS:      e.phases.streamNS.Load(),
-		PersistNS:     e.phases.persistNS.Load(),
-		SealNS:        e.phases.sealNS.Load(),
-		Trained:       e.phases.trained.Load(),
-		ArtifactHits:  e.phases.artifactHits.Load(),
-		StreamHits:    e.phases.streamHits.Load(),
-		StreamRecords: e.phases.streamRecords.Load(),
-	}
+	return e.tally.snapshot().phases()
 }
 
-// phaseSink adapts one training's core-side phase observations
-// (core.Config.Observe) into the engine's cumulative counters and,
-// when tracing, per-phase spans keyed by the training's artifact key.
-// Shake observations arrive per segment from pool workers; the sink
-// folds them into one aggregate the executor emits as a single span
-// after the training returns, so a tracer ring is never flooded by
-// thousands of per-segment spans.
+// phaseSink forwards one training's core-side phase observations
+// (core.Config.Observe) to the engine's note, keyed by the training's
+// artifact key. Shake observations arrive per segment from pool
+// workers; the sink sums them into one event that finish notes after
+// the training returns, so a tracer ring is never flooded by thousands
+// of per-segment spans.
 type phaseSink struct {
 	e       *Engine
 	key     string // artifact key (a batch group's representative)
@@ -122,52 +213,20 @@ type phaseSink struct {
 func (p *phaseSink) ObservePhase(phase string, d time.Duration) {
 	switch phase {
 	case "treewalk":
-		p.e.phases.treewalkNS.Add(int64(d))
-		p.emit("treewalk", d)
+		p.e.note(evTreewalk, d, obs.Span{Key: p.key, Bench: p.bench})
 	case "collect":
-		p.e.phases.collectNS.Add(int64(d))
-		p.emit("collect", d)
+		p.e.note(evCollect, d, obs.Span{Key: p.key, Bench: p.bench})
 	case "shake":
-		p.e.phases.shakeNS.Add(int64(d))
 		p.shakeNS.Add(int64(d))
 	}
 }
 
-// emit records one core phase span ending now.
-func (p *phaseSink) emit(phase string, d time.Duration) {
-	if tr := p.e.Trace; tr != nil {
-		tr.Emit(obs.Span{
-			Key:     p.key,
-			Phase:   phase,
-			Bench:   p.bench,
-			StartNS: tr.Now() - int64(d),
-			DurNS:   int64(d),
-		})
-	}
-}
-
-// finish closes out the training: the aggregate shake span plus the
-// whole-training span with its outcome ("trained"). The trained
-// counter is per resolved spec (noteProfile), not per pass.
+// finish closes out the training: its summed shakes, then the
+// whole-training event. The trained counter is per resolved spec
+// (evProfileTrained), not per pass.
 func (p *phaseSink) finish(d time.Duration) {
-	p.e.phases.trainNS.Add(int64(d))
-	if tr := p.e.Trace; tr != nil {
-		if sh := p.shakeNS.Load(); sh > 0 {
-			tr.Emit(obs.Span{
-				Key:     p.key,
-				Phase:   "shake",
-				Bench:   p.bench,
-				StartNS: tr.Now() - int64(d),
-				DurNS:   sh,
-			})
-		}
-		tr.Emit(obs.Span{
-			Key:     p.key,
-			Phase:   "train",
-			Bench:   p.bench,
-			Outcome: "trained",
-			StartNS: tr.Now() - int64(d),
-			DurNS:   int64(d),
-		})
+	if sh := p.shakeNS.Load(); sh > 0 {
+		p.e.note(evShake, time.Duration(sh), obs.Span{Key: p.key, Bench: p.bench})
 	}
+	p.e.note(evTrain, d, obs.Span{Key: p.key, Bench: p.bench})
 }

@@ -192,18 +192,24 @@ func reachableFrom(ks *KeySpace, j Job, results, artifacts, streams map[string]b
 }
 
 // Reachable returns every result-cache key, artifact-store key, and
-// packed-stream key reachable from a job set under cfg: each job's own
-// key plus its full dependency closure. This is the mark set
-// `mcdsweep prune` retains.
-func Reachable(cfg core.Config, jobs []Job) (results, artifacts, streams map[string]bool, err error) {
+// packed-stream key reachable from a job set under the key space's
+// configuration: each job's own key plus its full dependency closure.
+// This is the mark set `mcdsweep prune` retains.
+func (k *KeySpace) Reachable(jobs []Job) (results, artifacts, streams map[string]bool, err error) {
 	results = make(map[string]bool)
 	artifacts = make(map[string]bool)
 	streams = make(map[string]bool)
-	ks := NewKeySpace(cfg)
 	for _, j := range jobs {
-		if err := reachableFrom(ks, j, results, artifacts, streams); err != nil {
+		if err := reachableFrom(k, j, results, artifacts, streams); err != nil {
 			return nil, nil, nil, err
 		}
 	}
 	return results, artifacts, streams, nil
+}
+
+// Reachable is the key-space Reachable under cfg:
+// NewKeySpace(cfg).Reachable(jobs). Callers that already hold cfg's key
+// space should use it.
+func Reachable(cfg core.Config, jobs []Job) (results, artifacts, streams map[string]bool, err error) {
+	return NewKeySpace(cfg).Reachable(jobs)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/calltree"
@@ -48,10 +50,10 @@ func (e *ValidationError) Error() string {
 	return fmt.Sprintf("%s: %s", e.Code, e.Message)
 }
 
-// ParseManifest decodes manifest JSON strictly: unknown fields are
-// rejected (a typoed key silently meaning "sweep everything" is the
-// worst failure mode a grid format can have), and the schema version
-// must be one this build understands.
+// ParseManifest decodes manifest JSON strictly: unknown fields, and
+// known ones spelt in another case, are rejected (a typoed key silently
+// meaning "sweep everything" is the worst failure mode a grid format
+// can have), and the schema version must be one this build understands.
 func ParseManifest(data []byte) (*Manifest, *ValidationError) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -65,6 +67,9 @@ func ParseManifest(data []byte) (*Manifest, *ValidationError) {
 		return nil, &ValidationError{Code: ErrBadJSON,
 			Message: fmt.Sprintf("manifest: %d bytes of trailing data after JSON object", len(rest))}
 	}
+	if verr := exactManifestKeys(data); verr != nil {
+		return nil, verr
+	}
 	if m.Schema != 0 && m.Schema != ManifestSchema {
 		return nil, &ValidationError{
 			Code:    ErrInvalidManifest,
@@ -73,6 +78,26 @@ func ParseManifest(data []byte) (*Manifest, *ValidationError) {
 		}
 	}
 	return &m, nil
+}
+
+// exactManifestKeys refuses a member that names a Manifest field in
+// another case: encoding/json folds case (as strings.EqualFold does),
+// so DisallowUnknownFields lets {"BENCHMARKS": ...} through. data has
+// already decoded as a Manifest, so it is an object (or null).
+func exactManifestKeys(data []byte) *ValidationError {
+	var members map[string]json.RawMessage
+	_ = json.Unmarshal(data, &members)
+	t := reflect.TypeOf(Manifest{})
+	for i := 0; i < t.NumField(); i++ {
+		tag, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		for k := range members {
+			if k != tag && strings.EqualFold(k, tag) {
+				return &ValidationError{Code: ErrBadJSON, Field: tag,
+					Message: fmt.Sprintf("manifest: field %q is spelt in another case; member names are case-sensitive", tag)}
+			}
+		}
+	}
+	return nil
 }
 
 // ValidateManifest checks a parsed manifest and returns its enumerated

@@ -29,6 +29,15 @@ func TestParseManifestStrict(t *testing.T) {
 		{"trailing newline", "{\"benchmarks\": [\"gzip\"]}\n", "", ""},
 		{"trailing whitespace", "{\"benchmarks\": [\"gzip\"]} \t\r\n", "", ""},
 		{"wrong type", `{"benchmarks": "gzip"}`, ErrBadJSON, ""},
+		// encoding/json matches member names case-insensitively; the
+		// manifest does not.
+		{"upper-case members", `{"BENCHMARKS": ["gzip"], "Policies": ["baseline"]}`, ErrBadJSON, "benchmarks"},
+		{"capitalised member", `{"Policies": ["baseline"]}`, ErrBadJSON, "policies"},
+		{"mixed-case member", `{"delta_PCT": 2}`, ErrBadJSON, "delta_pct"},
+		{"wrong case beside right case", `{"benchmarks": ["gzip"], "BENCHMARKS": ["mcf"]}`, ErrBadJSON, "benchmarks"},
+		{"wrong-case schema", `{"Schema": 1}`, ErrBadJSON, "schema"},
+		{"long s folds to s", "{\"\u017fchema\": 1}", ErrBadJSON, "schema"},
+		{"escaped exact name", `{"benchm\u0061rks": ["gzip"]}`, "", ""},
 	}
 	for _, c := range cases {
 		m, verr := ParseManifest([]byte(c.body))
