@@ -376,7 +376,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, opts ...RunOption) ([]*Out
 	outs := make([]*Outcome, len(jobs))
 	srcs := make([]Source, len(jobs))
 	errs := make([]error, len(jobs))
-	before := e.tally.snapshot()
+	before := e.tally.since(counts{})
 	var segCorrupt0 int64
 	if e.Segments != nil {
 		segCorrupt0 = e.Segments.CorruptRows()
@@ -443,7 +443,7 @@ func (e *Engine) Run(ctx context.Context, jobs []Job, opts ...RunOption) ([]*Out
 	wg.Wait()
 	e.flushSegments()
 
-	c := e.tally.snapshot().sub(before)
+	c := e.tally.since(before)
 	sum := Summary{
 		Jobs:           len(jobs),
 		Executed:       int(c.n[evExecuted]),

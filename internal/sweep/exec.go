@@ -156,32 +156,26 @@ func (x *executor) packed(b *workload.Benchmark, ref bool) *isa.PackedStream {
 // is then persisted so the next cold process loads instead of walking.
 func (x *executor) resolveStream(b *workload.Benchmark, in isa.Input, window int64, ref bool) *isa.PackedStream {
 	start := time.Now()
-	s, key, ev := x.loadOrRecordStream(b, in, window, ref)
-	x.eng.note(ev, time.Since(start), obs.Span{Key: key, Bench: b.Name()})
+	st, key := x.eng.Streams, "" // no key without a store
+	if st != nil {
+		key = StreamKey(b, ref)
+		s, status := st.Load(key)
+		switch status {
+		case store.Hit:
+			x.eng.note(evStreamHit, time.Since(start), obs.Span{Key: key, Bench: b.Name()})
+			return s
+		case store.Corrupt:
+			x.eng.noteCorrupt("streams", key)
+		}
+	}
+	s := isa.RecordPackedSized(b.Prog, in, window)
+	if st != nil {
+		if err := st.Put(key, s); err != nil {
+			x.eng.warnPersist(err)
+		}
+	}
+	x.eng.note(evStreamRecord, time.Since(start), obs.Span{Key: key, Bench: b.Name()})
 	return s
-}
-
-// loadOrRecordStream is resolveStream's store/walk logic; it reports
-// the stream key (empty without a store) and how the stream resolved
-// (evStreamHit from the store, evStreamRecord by a generating walk).
-func (x *executor) loadOrRecordStream(b *workload.Benchmark, in isa.Input, window int64, ref bool) (*isa.PackedStream, string, event) {
-	st := x.eng.Streams
-	if st == nil {
-		return isa.RecordPackedSized(b.Prog, in, window), "", evStreamRecord
-	}
-	key := StreamKey(b, ref)
-	s, status := st.Load(key)
-	switch status {
-	case store.Hit:
-		return s, key, evStreamHit
-	case store.Corrupt:
-		x.eng.noteCorrupt("streams", key)
-	}
-	s = isa.RecordPackedSized(b.Prog, in, window)
-	if err := st.Put(key, s); err != nil {
-		x.eng.warnPersist(err)
-	}
-	return s, key, evStreamRecord
 }
 
 // profile resolves one trained profile: in-process memo (with per-key

@@ -5,7 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Streaming merge. MergeBytes (engine.go) is the canonical
@@ -83,27 +84,18 @@ type Plan struct {
 
 // Plan keys jobs under the key space.
 func (k *KeySpace) Plan(jobs []Job) *Plan {
-	type keyed struct {
-		key string
-		i   int
-	}
 	p := &Plan{space: k, byJob: make([]string, len(jobs)), keys: make([]string, len(jobs)), rows: make([]Merged, 0, len(jobs))}
-	order := make([]keyed, len(jobs))
+	order := make([]int, len(jobs))
 	for i, j := range jobs {
-		p.byJob[i] = k.Key(j)
-		order[i] = keyed{p.byJob[i], i}
+		p.byJob[i], order[i] = k.Key(j), i
 	}
-	// Ties go to the earlier job, the one kept for a shared key.
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].key != order[b].key {
-			return order[a].key < order[b].key
-		}
-		return order[a].i < order[b].i
-	})
-	for n, o := range order {
-		p.keys[n] = o.key
-		if n == 0 || o.key != order[n-1].key {
-			p.rows = append(p.rows, Merged{Key: o.key, Job: jobs[o.i]})
+	// The stable sort leaves jobs sharing a key in job order, so the
+	// first one listed is the one kept.
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(p.byJob[a], p.byJob[b]) })
+	for n, i := range order {
+		p.keys[n] = p.byJob[i]
+		if n == 0 || p.keys[n] != p.keys[n-1] {
+			p.rows = append(p.rows, Merged{Key: p.keys[n], Job: jobs[i]})
 		}
 	}
 	return p

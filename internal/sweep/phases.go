@@ -129,30 +129,26 @@ type tally struct {
 	n, ns [nEvents]atomic.Int64
 }
 
-// counts is a tally snapshot.
+// counts is a tally snapshot, or the difference of two.
 type counts struct {
 	n, ns [nEvents]int64
 }
 
-func (t *tally) snapshot() counts {
+// since returns the tally's counts minus before, the usual
+// before/after delta; since(counts{}) is a snapshot.
+func (t *tally) since(before counts) counts {
 	var c counts
 	for i := range c.n {
-		c.n[i], c.ns[i] = t.n[i].Load(), t.ns[i].Load()
+		c.n[i], c.ns[i] = t.n[i].Load()-before.n[i], t.ns[i].Load()-before.ns[i]
 	}
 	return c
 }
 
-// sub returns c - d, the usual before/after delta.
-func (c counts) sub(d counts) counts {
-	for i := range c.n {
-		c.n[i] -= d.n[i]
-		c.ns[i] -= d.ns[i]
-	}
-	return c
-}
-
-// phases is the snapshot's PhaseBreakdown view.
-func (c counts) phases() PhaseBreakdown {
+// Phases snapshots the engine's cumulative per-phase breakdown.
+// Counters only grow; take before/after snapshots and Sub them to
+// attribute work to one Run (as Run does for its Summary).
+func (e *Engine) Phases() PhaseBreakdown {
+	c := e.tally.since(counts{})
 	return PhaseBreakdown{
 		TrainNS:       c.ns[evTrain],
 		TreewalkNS:    c.ns[evTreewalk],
@@ -188,13 +184,6 @@ func (e *Engine) note(ev event, d time.Duration, sp obs.Span) {
 	sp.StartNS = tr.Now() - int64(d)
 	sp.DurNS = int64(d)
 	tr.Emit(sp)
-}
-
-// Phases snapshots the engine's cumulative per-phase breakdown.
-// Counters only grow; take before/after snapshots and Sub them to
-// attribute work to one Run (as Run does for its Summary).
-func (e *Engine) Phases() PhaseBreakdown {
-	return e.tally.snapshot().phases()
 }
 
 // phaseSink forwards one training's core-side phase observations

@@ -80,18 +80,47 @@ func ParseManifest(data []byte) (*Manifest, *ValidationError) {
 	return &m, nil
 }
 
+// manifestTags is the Manifest struct's json tags: the exact member
+// names a manifest may use.
+var manifestTags = func() []string {
+	t := reflect.TypeOf(Manifest{})
+	tags := make([]string, t.NumField())
+	for i := range tags {
+		tags[i], _, _ = strings.Cut(t.Field(i).Tag.Get("json"), ",")
+	}
+	return tags
+}()
+
 // exactManifestKeys refuses a member that names a Manifest field in
 // another case: encoding/json folds case (as strings.EqualFold does),
 // so DisallowUnknownFields lets {"BENCHMARKS": ...} through. data has
-// already decoded as a Manifest, so it is an object (or null).
+// already decoded as a Manifest, so it is valid JSON with no nested
+// object, and every string followed by a colon is a top-level member
+// name. The scan allocates only to unescape a name with escapes.
 func exactManifestKeys(data []byte) *ValidationError {
-	var members map[string]json.RawMessage
-	_ = json.Unmarshal(data, &members)
-	t := reflect.TypeOf(Manifest{})
-	for i := 0; i < t.NumField(); i++ {
-		tag, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
-		for k := range members {
-			if k != tag && strings.EqualFold(k, tag) {
+	for i := 0; i < len(data); i++ {
+		if data[i] != '"' {
+			continue
+		}
+		end := i + 1
+		for ; data[end] != '"'; end++ {
+			if data[end] == '\\' {
+				end++
+			}
+		}
+		name := data[i+1 : end]
+		quoted := data[i : end+1]
+		i = end
+		if rest := bytes.TrimLeft(data[end+1:], " \t\r\n"); len(rest) == 0 || rest[0] != ':' {
+			continue
+		}
+		if bytes.IndexByte(name, '\\') >= 0 {
+			var s string
+			_ = json.Unmarshal(quoted, &s) // a valid JSON string
+			name = []byte(s)
+		}
+		for _, tag := range manifestTags {
+			if string(name) != tag && strings.EqualFold(string(name), tag) {
 				return &ValidationError{Code: ErrBadJSON, Field: tag,
 					Message: fmt.Sprintf("manifest: field %q is spelt in another case; member names are case-sensitive", tag)}
 			}

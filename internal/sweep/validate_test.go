@@ -38,6 +38,9 @@ func TestParseManifestStrict(t *testing.T) {
 		{"wrong-case schema", `{"Schema": 1}`, ErrBadJSON, "schema"},
 		{"long s folds to s", "{\"\u017fchema\": 1}", ErrBadJSON, "schema"},
 		{"escaped exact name", `{"benchm\u0061rks": ["gzip"]}`, "", ""},
+		{"escaped wrong case", `{"BENCHM\u0041RKS": ["gzip"]}`, ErrBadJSON, "benchmarks"},
+		{"wrong case in a value only", `{"name": "BENCHMARKS:", "benchmarks": ["gzip"]}`, "", ""},
+		{"escaped quotes in a value", `{"name": "\"BENCHMARKS\": 1", "benchmarks": ["gzip"]}`, "", ""},
 	}
 	for _, c := range cases {
 		m, verr := ParseManifest([]byte(c.body))
