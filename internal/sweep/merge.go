@@ -70,9 +70,8 @@ func (s MergeSource) Has(key string) bool {
 // deduplicated rows (the first job for each key) sorted by key. A sweep
 // builds it once and it serves the completeness check and both merge
 // formats, a served sweep's ID and a fleet's dispatch, without deriving
-// a key again. It is the bounded part of a
-// streaming merge: a few hundred bytes per job regardless of outcome
-// size.
+// a key again. It is the bounded part of a streaming merge: a few
+// hundred bytes per job regardless of outcome size.
 type Plan struct {
 	space *KeySpace
 	// byJob is every job's key in job order; keys is the same keys

@@ -41,6 +41,7 @@ func TestParseManifestStrict(t *testing.T) {
 		{"escaped wrong case", `{"BENCHM\u0041RKS": ["gzip"]}`, ErrBadJSON, "benchmarks"},
 		{"wrong case in a value only", `{"name": "BENCHMARKS:", "benchmarks": ["gzip"]}`, "", ""},
 		{"escaped quotes in a value", `{"name": "\"BENCHMARKS\": 1", "benchmarks": ["gzip"]}`, "", ""},
+		{"one escaped quote in a value", `{"name": "say \"BENCHMARKS", "benchmarks": ["gzip"]}`, "", ""},
 	}
 	for _, c := range cases {
 		m, verr := ParseManifest([]byte(c.body))
