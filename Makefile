@@ -43,7 +43,8 @@ race:
 FUZZ_TARGETS = ./internal/isa:FuzzProgramCount ./internal/isa:FuzzDecodePacked \
 	./internal/core:FuzzDecodeProfile ./internal/sweep:FuzzParseManifest \
 	./internal/sweep:FuzzStoreEntry ./internal/sweep:FuzzDecodeSegmentRows \
-	./internal/serve/wire:FuzzDecodeStrict ./internal/serve:FuzzFollowLine
+	./internal/serve/wire:FuzzDecodeStrict ./internal/serve/wire:FuzzDecodeStreamLine \
+	./internal/serve:FuzzFollowLine
 
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \

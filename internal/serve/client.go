@@ -79,17 +79,28 @@ func decodeError(resp *http.Response) error {
 	return fmt.Errorf("server: HTTP %d: %.200s", resp.StatusCode, body)
 }
 
-// decodeFrame reads a 200 response's body and strict-decodes it as one
-// versioned wire frame.
-func decodeFrame(resp *http.Response, what string, v any) error {
+// decodeFrame reads a 200 response's body and decodes it with decode as
+// one versioned wire frame.
+func decodeFrame(resp *http.Response, what string, decode func([]byte) *wire.Error) error {
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 16*1024*1024))
 	if err != nil {
 		return fmt.Errorf("server: %s response: %w", what, err)
 	}
-	if werr := wire.DecodeStrict(body, v); werr != nil {
+	if werr := decode(body); werr != nil {
 		return fmt.Errorf("server: %s response: %w", what, werr)
 	}
 	return nil
+}
+
+// decodeStatus decodes a 200 response's Status frame with the direct
+// decoder.
+func decodeStatus(resp *http.Response, what string) (*Status, error) {
+	var st Status
+	err := decodeFrame(resp, what, func(b []byte) *wire.Error { return wire.DecodeStatus(b, &st) })
+	if err != nil {
+		return nil, err
+	}
+	return &st, nil
 }
 
 // Submit posts a raw manifest (the same JSON file mcdsweep takes) and
@@ -104,11 +115,7 @@ func (c *Client) Submit(manifest []byte) (*Status, error) {
 	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
 		return nil, decodeError(resp)
 	}
-	var st Status
-	if err := decodeFrame(resp, "submit", &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return decodeStatus(resp, "submit")
 }
 
 // Status fetches a sweep's progress snapshot.
@@ -121,11 +128,7 @@ func (c *Client) Status(id string) (*Status, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeError(resp)
 	}
-	var st Status
-	if err := decodeFrame(resp, "status", &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return decodeStatus(resp, "status")
 }
 
 // Follow streams a sweep's job completions from event seq `from` until
@@ -149,7 +152,7 @@ func (c *Client) Follow(id string, from int, onEvent func(Event)) (*Status, erro
 			continue
 		}
 		var ev Event
-		end, werr := decodeLine(line, &ev)
+		end, werr := wire.DecodeStreamLine(line, &ev)
 		if werr != nil {
 			return nil, fmt.Errorf("server: stream line: %w", werr)
 		}
@@ -164,29 +167,6 @@ func (c *Client) Follow(id string, from int, onEvent func(Event)) (*Status, erro
 		return nil, fmt.Errorf("server: stream: %w", err)
 	}
 	return nil, errors.New("server: stream ended without a terminal status (connection dropped?)")
-}
-
-// decodeLine classifies one stream line with one strict decode: an
-// Event, decoded into ev, or the terminal {"done":true,"status":{...}}
-// line, returned as end. Only a line that fails as an event is tried as
-// the terminal one, so every event is decoded once, and a line that is
-// neither reports the event's error, unless it declares done, when it
-// reports the terminal frame's.
-func decodeLine(line []byte, ev *Event) (end *wire.StreamEnd, werr *wire.Error) {
-	werr = wire.DecodeStrict(line, ev)
-	if werr == nil {
-		return nil, nil
-	}
-	var e wire.StreamEnd
-	// A failed strict decode still fills what it could, so Done reads
-	// the line's done member whenever the line is valid JSON.
-	if eerr := wire.DecodeStrict(line, &e); e.Done {
-		if eerr != nil {
-			return nil, eerr
-		}
-		return &e, nil
-	}
-	return nil, werr
 }
 
 // Results fetches a completed sweep's merged results — byte-identical
@@ -247,7 +227,7 @@ func (c *Client) postFrame(ctx context.Context, path, what string, in, out any) 
 	if resp.StatusCode != http.StatusOK {
 		return decodeError(resp)
 	}
-	return decodeFrame(resp, what, out)
+	return decodeFrame(resp, what, func(b []byte) *wire.Error { return wire.DecodeStrict(b, out) })
 }
 
 // RegisterWorker announces a worker to a fleet coordinator and returns

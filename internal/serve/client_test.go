@@ -10,13 +10,15 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/jsonscan/jsonscantest"
 	"repro/internal/serve/wire"
 )
 
 // followLineOracle is how Follow handled a stream line before each line
 // was decoded once: a lenient probe for "done", then a strict decode as
-// the frame the probe named. It is decodeLine's reference behavior; a
-// probe failure is a bad_request, as any strict decode failure is.
+// the frame the probe named. It is wire.DecodeStreamLine's reference
+// behavior; a probe failure is a bad_request, as any strict decode
+// failure is.
 func followLineOracle(line []byte) (*Event, *wire.StreamEnd, *wire.Error) {
 	var probe struct {
 		Done bool `json:"done"`
@@ -38,24 +40,32 @@ func followLineOracle(line []byte) (*Event, *wire.StreamEnd, *wire.Error) {
 	return &ev, nil, nil
 }
 
-// FuzzFollowLine feeds arbitrary bytes to Follow's line classifier and
-// to the probe-then-strict oracle. They must accept and reject the same
+// FuzzFollowLine feeds arbitrary bytes to Follow's line decoder and to
+// the probe-then-strict oracle. They must accept and reject the same
 // lines, with the same wire error code, the same frame kind and equal
-// decoded values.
+// decoded values, except for a line that spells a member name in
+// another case: the oracle folds it, as encoding/json does, and the
+// line decoder must refuse it as bad_request.
 func FuzzFollowLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var ev Event
-		end, werr := decodeLine(line, &ev)
+		end, werr := wire.DecodeStreamLine(line, &ev)
+		if jsonscantest.WrongCase(line, wire.Event{}) || jsonscantest.WrongCase(line, wire.StreamEnd{}) {
+			if werr == nil || werr.Code != wire.CodeBadRequest {
+				t.Fatalf("member name in another case: got end %v, error %v; want a %s error", end, werr, wire.CodeBadRequest)
+			}
+			return
+		}
 		oev, oend, owerr := followLineOracle(line)
 		switch {
 		case (werr == nil) != (owerr == nil):
-			t.Fatalf("classifier error %v, oracle error %v", werr, owerr)
+			t.Fatalf("decoder error %v, oracle error %v", werr, owerr)
 		case werr != nil:
 			if werr.Code != owerr.Code {
-				t.Fatalf("classifier code %q (%v), oracle code %q (%v)", werr.Code, werr, owerr.Code, owerr)
+				t.Fatalf("decoder code %q (%v), oracle code %q (%v)", werr.Code, werr, owerr.Code, owerr)
 			}
 		case (end != nil) != (oend != nil):
-			t.Fatalf("classifier terminal=%v, oracle terminal=%v", end != nil, oend != nil)
+			t.Fatalf("decoder terminal=%v, oracle terminal=%v", end != nil, oend != nil)
 		case end != nil:
 			if !reflect.DeepEqual(*end, *oend) {
 				t.Fatalf("terminal lines differ:\n%+v\n%+v", *end, *oend)
@@ -103,6 +113,25 @@ func TestFollowStrictWithoutCallback(t *testing.T) {
 		}
 		if !strings.HasPrefix(err.Error(), "server: stream line: ") {
 			t.Errorf("%s: error %q", bad, err)
+		}
+	}
+}
+
+// TestFollowRefusesWrongCase checks that Follow refuses a stream line
+// that spells a member name in another case, which encoding/json would
+// fold onto the member: an event's and the terminal line's.
+func TestFollowRefusesWrongCase(t *testing.T) {
+	end := `{"proto":1,"done":true,"status":{"proto":1,"id":"sw-1","jobs":1,"done":1,"state":"complete"}}` + "\n"
+	for _, bad := range []string{
+		`{"PROTO":1,"Seq":3,"job":{"bench":"gzip","policy":"baseline"},"key":"k","SOURCE":"disk","elapsed_ns":5}` + "\n" + end,
+		`{"proto":1,"seq":0,"job":{"Bench":"gzip","policy":"baseline"},"key":"k","source":"disk","elapsed_ns":5}` + "\n" + end,
+		`{"proto":1,"DONE":true,"status":{"proto":1,"id":"sw-1","jobs":1,"done":1,"state":"complete"}}` + "\n",
+		`{"proto":1,"done":true,"Status":{"proto":1,"id":"sw-1","jobs":1,"done":1,"state":"complete"}}` + "\n",
+	} {
+		st, err := streamOf(t, bad).Follow("sw-1", 0, nil)
+		var werr *wire.Error
+		if !errors.As(err, &werr) || werr.Code != wire.CodeBadRequest {
+			t.Errorf("%s: status %+v, error %v; want a %s error", bad, st, err, wire.CodeBadRequest)
 		}
 	}
 }

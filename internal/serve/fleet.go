@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve/wire"
 	"repro/internal/store"
@@ -136,8 +135,10 @@ type fleetJob struct {
 // leaseGroup is one anchor group: every pending job sharing one
 // sweep.KeySpace.AnchorKey under one configuration, granted as a unit.
 type leaseGroup struct {
-	gkey     string
-	cfg      core.Config
+	gkey string
+	// keys is the key space of the sweep that opened the group: the
+	// group's configuration and the closure each grant sends.
+	keys     *sweep.KeySpace
 	recCache int
 	anchor   string
 	jobs     []*fleetJob
@@ -273,7 +274,7 @@ func (f *fleet) wireLease(l *lease) *wire.Lease {
 	}
 	wl := &wire.Lease{
 		ID:             l.id,
-		Config:         g.cfg,
+		Config:         g.keys.Config(),
 		RecordingCache: g.recCache,
 		Anchor:         g.anchor,
 		Jobs:           jobs,
@@ -282,7 +283,7 @@ func (f *fleet) wireLease(l *lease) *wire.Lease {
 	}
 	// Reachable cannot fail here: every grouped job already passed
 	// validation at submission.
-	if results, artifacts, _, err := sweep.Reachable(g.cfg, jobs); err == nil {
+	if results, artifacts, _, err := g.keys.Reachable(jobs); err == nil {
 		for k := range results {
 			if !own[k] {
 				wl.DepKeys = append(wl.DepKeys, k)
@@ -545,7 +546,7 @@ func (f *fleet) enqueue(keys *sweep.KeySpace, recCache int, items []enqueueItem)
 		gkey := ck + "\x00" + anchor
 		g := f.open[gkey]
 		if g == nil {
-			g = &leaseGroup{gkey: gkey, cfg: keys.Config(), recCache: recCache, anchor: anchor}
+			g = &leaseGroup{gkey: gkey, keys: keys, recCache: recCache, anchor: anchor}
 			f.open[gkey] = g
 			f.queue = append(f.queue, g)
 			queued = true

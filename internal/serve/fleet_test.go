@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -201,6 +202,85 @@ func TestFleetLeaseExpiryReassigns(t *testing.T) {
 	if !errors.As(err, &ae) || ae.Code != wire.CodeLeaseExpired {
 		t.Fatalf("late completion: %v, want %s", err, wire.CodeLeaseExpired)
 	}
+}
+
+// takeLease long-polls the coordinator until it grants workerID a lease.
+func takeLease(t *testing.T, c *Client, workerID string) *wire.Lease {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		l, err := c.RequestLease(context.Background(), workerID, 100*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l != nil {
+			return l
+		}
+	}
+	t.Fatalf("worker %s never got a lease", workerID)
+	return nil
+}
+
+// TestFleetReassignedLeaseKeepsClosure lets a lease expire and takes the
+// group again: the second grant must carry the same dependency and
+// artifact keys as the first, and both must be the closure
+// sweep.Reachable derives for the group's jobs.
+func TestFleetReassignedLeaseKeepsClosure(t *testing.T) {
+	ctx := context.Background()
+	_, c := fleetServer(t, t.TempDir(), FleetConfig{
+		LeaseTTL: 100 * time.Millisecond, Poll: 50 * time.Millisecond, MaxAttempts: 2,
+	})
+	var ids []string
+	for _, name := range []string{"first", "second"} {
+		reg, err := c.RegisterWorker(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, reg.WorkerID)
+	}
+	// A global job resolves its off-line run inline, which trains a
+	// profile: the closure has both dependency and artifact keys.
+	m := sweep.Manifest{Name: "closure", Benchmarks: workload.Names()[0:1], Policies: []string{sweep.PolicyGlobal}}
+	ch := runManifestAsync(t, c, m)
+	first := takeLease(t, c, ids[0])
+	second := takeLease(t, c, ids[1])
+	if first.Attempt != 1 || second.Attempt != 2 {
+		t.Fatalf("attempts %d then %d, want 1 then 2", first.Attempt, second.Attempt)
+	}
+	if len(first.DepKeys) == 0 || len(first.ArtifactKeys) == 0 {
+		t.Fatalf("first grant has %d dependency and %d artifact keys, want some of each", len(first.DepKeys), len(first.ArtifactKeys))
+	}
+	if !reflect.DeepEqual(second.DepKeys, first.DepKeys) || !reflect.DeepEqual(second.ArtifactKeys, first.ArtifactKeys) {
+		t.Fatalf("reassigned closure differs:\nfirst:  %v %v\nsecond: %v %v",
+			first.DepKeys, first.ArtifactKeys, second.DepKeys, second.ArtifactKeys)
+	}
+	results, artifacts, _, err := sweep.Reachable(m.Config(), first.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range first.JobKeys {
+		delete(results, k)
+	}
+	if !sameKeys(first.DepKeys, results) || !sameKeys(first.ArtifactKeys, artifacts) {
+		t.Fatalf("granted closure %v %v, sweep.Reachable gives %v %v", first.DepKeys, first.ArtifactKeys, results, artifacts)
+	}
+	// The second grant expires too, which exhausts the group.
+	if st := waitStatus(t, ch, 30*time.Second); st.State != StateFailed {
+		t.Fatalf("state %s, want %s", st.State, StateFailed)
+	}
+}
+
+// sameKeys reports whether keys lists exactly the members of set.
+func sameKeys(keys []string, set map[string]bool) bool {
+	if len(keys) != len(set) {
+		return false
+	}
+	for _, k := range keys {
+		if !set[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestFleetRetryCapFails exhausts an anchor group's grant attempts and

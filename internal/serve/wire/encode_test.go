@@ -104,7 +104,8 @@ func TestEventLineAdversarial(t *testing.T) {
 }
 
 // TestEventLineRandomized cross-checks the event encoder against
-// json.Encoder on pseudo-random events (fixed seed).
+// json.Encoder on pseudo-random events (fixed seed), and the direct
+// decoder against the encoder: each line decodes back to its event.
 func TestEventLineRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	randStr := func() string {
@@ -142,6 +143,7 @@ func TestEventLineRandomized(t *testing.T) {
 			ev.Outcome = o
 		}
 		checkLine(t, "random event", ev)
+		checkRoundTrip(t, ev)
 		if t.Failed() {
 			t.Fatalf("first mismatch at iteration %d", i)
 		}

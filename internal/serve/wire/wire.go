@@ -17,6 +17,7 @@ import (
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/jsonscan"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
@@ -93,24 +94,91 @@ const (
 // protocol version enforced. The frame must be the whole of data: only
 // JSON whitespace (such as the newline an HTTP body or NDJSON line ends
 // with) may follow it. A nil return means v is populated and speaks
-// this package's Proto.
+// this package's Proto. Like encoding/json, it matches member names in
+// any case; the frames a client reads during a sweep go through the
+// direct decoders below instead, which match them exactly.
 func DecodeStrict(data []byte, v any) *Error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return &Error{Code: CodeBadRequest, Message: "wire: " + err.Error()}
+		return badFrame(err)
 	}
 	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
 		return &Error{Code: CodeBadRequest,
 			Message: fmt.Sprintf("wire: %d bytes of trailing data after the frame", len(rest))}
 	}
 	if vv, ok := v.(interface{ Version() int }); ok {
-		if p := vv.Version(); p != Proto {
-			return &Error{
-				Code:    CodeProtoUnsupported,
-				Message: fmt.Sprintf("wire: frame declares proto %d, this peer speaks %d", p, Proto),
-				Field:   "proto",
-			}
+		return checkProto(vv.Version())
+	}
+	return nil
+}
+
+// DecodeStatus decodes a Status frame, such as a submission's or a
+// status request's response, in one direct pass. It accepts, refuses
+// and decodes what DecodeStrict does, with the same error codes, except
+// that member names must match exactly, case included.
+func DecodeStatus(data []byte, st *Status) *Error {
+	if err := jsonscan.Decode(data, st, statusMembers); err != nil {
+		return badFrame(err)
+	}
+	return checkProto(st.Proto)
+}
+
+// DecodeStreamLine decodes one NDJSON stream line in one direct pass and
+// sorts it by its member names: a line with a done member is the
+// terminal line, returned as end, and any other line is an event,
+// decoded into ev, which should be zero. It accepts, refuses and
+// decodes what DecodeStrict does for the frame the line is, with the
+// same error codes, except that member names must match exactly, case
+// included.
+func DecodeStreamLine(line []byte, ev *Event) (end *StreamEnd, werr *Error) {
+	// proto is the one member both frames have; it decodes into ev and
+	// is copied to end.
+	terminal, eventMember := false, false
+	s := jsonscan.NewScanner(line)
+	s.Object(func(name []byte) bool {
+		if eventMembers.DecodeMember(s, ev, name) {
+			eventMember = eventMember || string(name) != "proto"
+			return true
+		}
+		if end == nil {
+			end = new(StreamEnd)
+		}
+		terminal = terminal || string(name) == "done"
+		return streamEndMembers.DecodeMember(s, end, name)
+	})
+	if err := s.End(); err != nil {
+		return nil, badFrame(err)
+	}
+	switch {
+	case !terminal && end != nil:
+		return nil, &Error{Code: CodeBadRequest, Message: `wire: unknown field "status" in a stream event`}
+	case !terminal:
+		return nil, checkProto(ev.Proto)
+	case eventMember:
+		return nil, &Error{Code: CodeBadRequest, Message: "wire: the terminal stream line has event members"}
+	case !end.Done:
+		return nil, &Error{Code: CodeBadRequest, Message: "wire: a stream line's done member is not true"}
+	}
+	end.Proto = ev.Proto
+	if werr := checkProto(end.Proto); werr != nil {
+		return nil, werr
+	}
+	return end, nil
+}
+
+// badFrame reports a frame that does not decode.
+func badFrame(err error) *Error {
+	return &Error{Code: CodeBadRequest, Message: "wire: " + err.Error()}
+}
+
+// checkProto refuses a frame that declares another protocol version.
+func checkProto(p int) *Error {
+	if p != Proto {
+		return &Error{
+			Code:    CodeProtoUnsupported,
+			Message: fmt.Sprintf("wire: frame declares proto %d, this peer speaks %d", p, Proto),
+			Field:   "proto",
 		}
 	}
 	return nil
@@ -147,6 +215,20 @@ type Status struct {
 	// unknown fields, and omitted knowns decode to their zero values.
 	Phases *sweep.PhaseBreakdown `json:"phases,omitempty"`
 	Error  string                `json:"error,omitempty"`
+}
+
+// statusMembers is Status's member table for the direct decoder,
+// listed in field order.
+var statusMembers = jsonscan.Table[Status]{
+	"proto":   func(s *jsonscan.Scanner, st *Status) { s.Int(&st.Proto) },
+	"id":      func(s *jsonscan.Scanner, st *Status) { s.String(&st.ID) },
+	"name":    func(s *jsonscan.Scanner, st *Status) { s.String(&st.Name) },
+	"jobs":    func(s *jsonscan.Scanner, st *Status) { s.Int(&st.Jobs) },
+	"done":    func(s *jsonscan.Scanner, st *Status) { s.Int(&st.Done) },
+	"state":   func(s *jsonscan.Scanner, st *Status) { s.String(&st.State) },
+	"summary": func(s *jsonscan.Scanner, st *Status) { sweep.DecodeSummaryJSON(s, &st.Summary) },
+	"phases":  func(s *jsonscan.Scanner, st *Status) { sweep.DecodePhasesJSON(s, &st.Phases) },
+	"error":   func(s *jsonscan.Scanner, st *Status) { s.String(&st.Error) },
 }
 
 // Event is one completed job as it appears on the NDJSON stream, in
@@ -197,11 +279,32 @@ func (ev *Event) AppendLine(dst []byte) ([]byte, error) {
 	return append(dst, '}', '\n'), nil
 }
 
+// eventMembers is Event's member table for the direct decoder, listed
+// in the order AppendLine writes the members.
+var eventMembers = jsonscan.Table[Event]{
+	"proto":      func(s *jsonscan.Scanner, ev *Event) { s.Int(&ev.Proto) },
+	"seq":        func(s *jsonscan.Scanner, ev *Event) { s.Int(&ev.Seq) },
+	"job":        func(s *jsonscan.Scanner, ev *Event) { sweep.DecodeJobJSON(s, &ev.Job) },
+	"key":        func(s *jsonscan.Scanner, ev *Event) { s.String(&ev.Key) },
+	"source":     func(s *jsonscan.Scanner, ev *Event) { s.String(&ev.Source) },
+	"elapsed_ns": func(s *jsonscan.Scanner, ev *Event) { s.Int64(&ev.Elapsed) },
+	"error":      func(s *jsonscan.Scanner, ev *Event) { s.String(&ev.Error) },
+	"outcome":    func(s *jsonscan.Scanner, ev *Event) { sweep.DecodeOutcomeJSON(s, &ev.Outcome) },
+}
+
 // StreamEnd is the NDJSON stream's terminal line.
 type StreamEnd struct {
 	Versioned
 	Done   bool   `json:"done"`
 	Status Status `json:"status"`
+}
+
+// streamEndMembers is StreamEnd's member table for the direct decoder,
+// listed in field order.
+var streamEndMembers = jsonscan.Table[StreamEnd]{
+	"proto":  func(s *jsonscan.Scanner, e *StreamEnd) { s.Int(&e.Proto) },
+	"done":   func(s *jsonscan.Scanner, e *StreamEnd) { s.Bool(&e.Done) },
+	"status": func(s *jsonscan.Scanner, e *StreamEnd) { jsonscan.Object(s, &e.Status, statusMembers) },
 }
 
 // RegisterRequest announces a worker to the coordinator.

@@ -7,6 +7,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/core"
+	"repro/internal/jsonscan"
 	"repro/internal/sim"
 )
 
@@ -200,6 +201,19 @@ func (e *mergedEncoder) job(j Job) error {
 	return nil
 }
 
+// jobMembers is Job's member table for the direct decoder
+// (internal/jsonscan). Each type this encoder writes has its table
+// beside its encoding method, listed in the same order, so that a new
+// field touches one place.
+var jobMembers = jsonscan.Table[Job]{
+	"bench":          func(s *jsonscan.Scanner, j *Job) { s.String(&j.Bench) },
+	"policy":         func(s *jsonscan.Scanner, j *Job) { s.String(&j.Policy) },
+	"scheme":         func(s *jsonscan.Scanner, j *Job) { s.String(&j.Scheme) },
+	"delta":          func(s *jsonscan.Scanner, j *Job) { s.Float(&j.Delta) },
+	"aggressiveness": func(s *jsonscan.Scanner, j *Job) { s.Float(&j.Aggressiveness) },
+	"mhz":            func(s *jsonscan.Scanner, j *Job) { s.Int(&j.MHz) },
+}
+
 func (e *mergedEncoder) result(r sim.Result) error {
 	e.buf = append(e.buf, '{')
 	first := true
@@ -246,6 +260,22 @@ func (e *mergedEncoder) result(r sim.Result) error {
 	return nil
 }
 
+// resultMembers is sim.Result's member table for the direct decoder.
+var resultMembers = jsonscan.Table[sim.Result]{
+	"Instructions":   func(s *jsonscan.Scanner, r *sim.Result) { s.Int64(&r.Instructions) },
+	"TimePs":         func(s *jsonscan.Scanner, r *sim.Result) { s.Int64(&r.TimePs) },
+	"EnergyPJ":       func(s *jsonscan.Scanner, r *sim.Result) { s.Float(&r.EnergyPJ) },
+	"DomainPJ":       func(s *jsonscan.Scanner, r *sim.Result) { s.Floats(&r.DomainPJ) },
+	"AvgMHz":         func(s *jsonscan.Scanner, r *sim.Result) { s.Floats(&r.AvgMHz) },
+	"SyncCrossings":  func(s *jsonscan.Scanner, r *sim.Result) { s.Int64(&r.SyncCrossings) },
+	"SyncPenalties":  func(s *jsonscan.Scanner, r *sim.Result) { s.Int64(&r.SyncPenalties) },
+	"Mispredicts":    func(s *jsonscan.Scanner, r *sim.Result) { s.Int64(&r.Mispredicts) },
+	"MispredictRate": func(s *jsonscan.Scanner, r *sim.Result) { s.Float(&r.MispredictRate) },
+	"IL1MissRate":    func(s *jsonscan.Scanner, r *sim.Result) { s.Float(&r.IL1MissRate) },
+	"DL1MissRate":    func(s *jsonscan.Scanner, r *sim.Result) { s.Float(&r.DL1MissRate) },
+	"L2MissRate":     func(s *jsonscan.Scanner, r *sim.Result) { s.Float(&r.L2MissRate) },
+}
+
 func (e *mergedEncoder) stats(s core.EditStats) error {
 	e.buf = append(e.buf, '{')
 	first := true
@@ -262,6 +292,14 @@ func (e *mergedEncoder) stats(s core.EditStats) error {
 	e.nl(2)
 	e.buf = append(e.buf, '}')
 	return nil
+}
+
+// statsMembers is core.EditStats's member table for the direct decoder.
+var statsMembers = jsonscan.Table[core.EditStats]{
+	"DynReconfig":    func(s *jsonscan.Scanner, st *core.EditStats) { s.Int64(&st.DynReconfig) },
+	"DynInstr":       func(s *jsonscan.Scanner, st *core.EditStats) { s.Int64(&st.DynInstr) },
+	"OverheadCycles": func(s *jsonscan.Scanner, st *core.EditStats) { s.Int64(&st.OverheadCycles) },
+	"OverheadPct":    func(s *jsonscan.Scanner, st *core.EditStats) { s.Float(&st.OverheadPct) },
 }
 
 func (e *mergedEncoder) outcome(o *Outcome) error {
@@ -296,6 +334,15 @@ func (e *mergedEncoder) outcome(o *Outcome) error {
 	return nil
 }
 
+// outcomeMembers is Outcome's member table for the direct decoder.
+var outcomeMembers = jsonscan.Table[Outcome]{
+	"result":          func(s *jsonscan.Scanner, o *Outcome) { jsonscan.Object(s, &o.Res, resultMembers) },
+	"edit_stats":      func(s *jsonscan.Scanner, o *Outcome) { jsonscan.Object(s, &o.Stats, statsMembers) },
+	"global_mhz":      func(s *jsonscan.Scanner, o *Outcome) { s.Int(&o.GlobalMHz) },
+	"static_reconfig": func(s *jsonscan.Scanner, o *Outcome) { s.Int(&o.StaticReconfig) },
+	"static_instr":    func(s *jsonscan.Scanner, o *Outcome) { s.Int(&o.StaticInstr) },
+}
+
 // appendMerged appends one encoded Merged row to dst and returns the
 // extended slice. With indent=true the row matches
 // json.MarshalIndent(m, prefix, " "); with indent=false it matches
@@ -321,7 +368,8 @@ func appendMerged(dst []byte, m Merged, prefix string, indent bool) ([]byte, err
 
 // The compact form for frames outside this package: the serving
 // protocol's stream event (wire.Event) embeds a job, an outcome and
-// strings, and encodes them with this encoder rather than reflection.
+// strings, and encodes them with this encoder rather than reflection,
+// and its client decodes them with the tables above.
 
 // AppendJobJSON appends json.Marshal(j)'s bytes to dst.
 func AppendJobJSON(dst []byte, j Job) ([]byte, error) {
@@ -337,6 +385,15 @@ func AppendOutcomeJSON(dst []byte, o *Outcome) ([]byte, error) {
 	err := e.outcome(o)
 	return e.buf, err
 }
+
+// DecodeJobJSON decodes a job at s into j, as json.Unmarshal would with
+// unknown members refused and member names matched exactly.
+func DecodeJobJSON(s *jsonscan.Scanner, j *Job) { jsonscan.Object(s, j, jobMembers) }
+
+// DecodeOutcomeJSON decodes an outcome, or null, at s into *o, as
+// json.Unmarshal would with unknown members refused and member names
+// matched exactly.
+func DecodeOutcomeJSON(s *jsonscan.Scanner, o **Outcome) { jsonscan.Pointer(s, o, outcomeMembers) }
 
 // AppendJSONString appends json.Marshal(s)'s bytes to dst.
 func AppendJSONString(dst []byte, s string) []byte {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/core"
+	"repro/internal/jsonscan"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -73,6 +74,24 @@ func (s Summary) String() string {
 	return fmt.Sprintf("jobs=%d mem_hits=%d disk_hits=%d segment_hits=%d stream_hits=%d executed=%d errors=%d corrupt_entries=%d",
 		s.Jobs, s.MemHits, s.DiskHits, s.SegmentHits, s.StreamHits, s.Executed, s.Errors, s.CorruptEntries)
 }
+
+// summaryMembers is Summary's member table for the direct decoder,
+// listed in field order.
+var summaryMembers = jsonscan.Table[Summary]{
+	"jobs":            func(s *jsonscan.Scanner, v *Summary) { s.Int(&v.Jobs) },
+	"mem_hits":        func(s *jsonscan.Scanner, v *Summary) { s.Int(&v.MemHits) },
+	"disk_hits":       func(s *jsonscan.Scanner, v *Summary) { s.Int(&v.DiskHits) },
+	"segment_hits":    func(s *jsonscan.Scanner, v *Summary) { s.Int(&v.SegmentHits) },
+	"stream_hits":     func(s *jsonscan.Scanner, v *Summary) { s.Int(&v.StreamHits) },
+	"executed":        func(s *jsonscan.Scanner, v *Summary) { s.Int(&v.Executed) },
+	"errors":          func(s *jsonscan.Scanner, v *Summary) { s.Int(&v.Errors) },
+	"corrupt_entries": func(s *jsonscan.Scanner, v *Summary) { s.Int(&v.CorruptEntries) },
+}
+
+// DecodeSummaryJSON decodes a summary, or null, at s into *v, as
+// json.Unmarshal would with unknown members refused and member names
+// matched exactly.
+func DecodeSummaryJSON(s *jsonscan.Scanner, v **Summary) { jsonscan.Pointer(s, v, summaryMembers) }
 
 // Engine executes sweep jobs against one configuration with in-process
 // memoization, optional persistent caching, and a bounded worker pool.

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/jsonscan"
 	"repro/internal/obs"
 )
 
@@ -76,6 +77,28 @@ func (p PhaseBreakdown) String() string {
 		p.Trained, p.ArtifactHits, p.StreamHits, p.StreamRecords)
 	return b.String()
 }
+
+// phaseMembers is PhaseBreakdown's member table for the direct decoder,
+// listed in field order.
+var phaseMembers = jsonscan.Table[PhaseBreakdown]{
+	"train_ns":       func(s *jsonscan.Scanner, p *PhaseBreakdown) { s.Int64(&p.TrainNS) },
+	"treewalk_ns":    func(s *jsonscan.Scanner, p *PhaseBreakdown) { s.Int64(&p.TreewalkNS) },
+	"collect_ns":     func(s *jsonscan.Scanner, p *PhaseBreakdown) { s.Int64(&p.CollectNS) },
+	"shake_ns":       func(s *jsonscan.Scanner, p *PhaseBreakdown) { s.Int64(&p.ShakeNS) },
+	"sim_ns":         func(s *jsonscan.Scanner, p *PhaseBreakdown) { s.Int64(&p.SimNS) },
+	"stream_ns":      func(s *jsonscan.Scanner, p *PhaseBreakdown) { s.Int64(&p.StreamNS) },
+	"persist_ns":     func(s *jsonscan.Scanner, p *PhaseBreakdown) { s.Int64(&p.PersistNS) },
+	"seal_ns":        func(s *jsonscan.Scanner, p *PhaseBreakdown) { s.Int64(&p.SealNS) },
+	"trained":        func(s *jsonscan.Scanner, p *PhaseBreakdown) { s.Int64(&p.Trained) },
+	"artifact_hits":  func(s *jsonscan.Scanner, p *PhaseBreakdown) { s.Int64(&p.ArtifactHits) },
+	"stream_hits":    func(s *jsonscan.Scanner, p *PhaseBreakdown) { s.Int64(&p.StreamHits) },
+	"stream_records": func(s *jsonscan.Scanner, p *PhaseBreakdown) { s.Int64(&p.StreamRecords) },
+}
+
+// DecodePhasesJSON decodes a breakdown, or null, at s into *p, as
+// json.Unmarshal would with unknown members refused and member names
+// matched exactly.
+func DecodePhasesJSON(s *jsonscan.Scanner, p **PhaseBreakdown) { jsonscan.Pointer(s, p, phaseMembers) }
 
 // event is one kind of engine event. note counts every event, and sums
 // its duration, in the engine's tally; Summary and PhaseBreakdown are
